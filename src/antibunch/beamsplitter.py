@@ -7,9 +7,17 @@ The Heisenberg map is fixed to
 
 with phi expressed in units of pi throughout.  The Schroedinger unitary is
 realized as a number-operator phase rotation on mode b followed by the real
-rotation of angle arccos(sqrt(T)); both factors are exactly unitary after
-truncation, and the rotation conserves total photon number exactly, so no
-re-truncation happens after mixing.
+rotation exp(theta (a^dag b - a b^dag)), theta = arccos(sqrt(T)).
+
+The rotation conserves the total photon number N = n_a + n_b, so it is
+block-diagonal over photon-number sectors (Campos, Saleh & Teich, PRA 40,
+1371 (1989)).  In the truncated joint basis sector N holds the states
+|m, N-m> that fit both truncations, and the generator restricted to it is a
+real tridiagonal matrix with off-diagonals sqrt((m+1)(N-m)).  Each block is
+diagonalized once per truncation pair, and mixing applies the small blocks
+to their slices of the joint vector.  Sectors with N >= min(dim) are cut
+short by the truncation and are rotated exactly as truncated; both factors
+stay exactly unitary, so no re-truncation happens after mixing.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import VacuumOutputError
 from .fock import FockVector, TwoModeState, annihilation, lift_a, lift_b
@@ -47,18 +56,48 @@ class BeamsplitterParams:
         return math.pi * self.phi
 
 
+@dataclass(frozen=True)
+class _Sectors:
+    """Photon-number sectors of a (dim_a, dim_b) joint basis, zero-padded.
+
+    Row N lists the joint indices of the states |m, N-m> that fit the
+    truncation, in increasing m; the rest of the row is padding and points
+    at index dim_a*dim_b, one past the joint vector.  vecs[N] and evals[N]
+    diagonalize the Hermitian generator i(a^dag b - a b^dag) on sector N,
+    with zero rows and columns in the padding.
+    """
+
+    index: np.ndarray  # (sectors, width) joint indices
+    evals: np.ndarray  # (sectors, width)
+    vecs: np.ndarray  # (sectors, width, width), complex
+
+
 @lru_cache(maxsize=64)
-def _rotation_eig(dim_a: int, dim_b: int):
-    # Hermitian form of the rotation generator i(a^dag b - a b^dag); its
-    # eigenbasis turns every exp(theta (a^dag b - a b^dag)) into two dense
-    # matvecs, which is what keeps 101x101 parameter sweeps cheap.
-    a = annihilation(dim_a)
-    b = annihilation(dim_b)
-    k = np.kron(a.conj().T, b) - np.kron(a, b.conj().T)
-    evals, vecs = np.linalg.eigh(1j * k)
-    evals.setflags(write=False)
-    vecs.setflags(write=False)
-    return evals, vecs
+def _sectors(dim_a: int, dim_b: int) -> _Sectors:
+    count, width = dim_a + dim_b - 1, min(dim_a, dim_b)
+    index = np.full((count, width), dim_a * dim_b)
+    evals = np.zeros((count, width))
+    vecs = np.zeros((count, width, width), dtype=complex)
+    for total in range(count):
+        m = np.arange(max(0, total - dim_b + 1), min(total, dim_a - 1) + 1)
+        size = m.size
+        index[total, :size] = m * dim_b + (total - m)
+        # On sector N the generator is real antisymmetric tridiagonal with
+        # entries +-sqrt((m+1)(N-m)); conjugating i times it by diag(i^k)
+        # makes it real symmetric with the same off-diagonal magnitudes.
+        off = np.sqrt((m[:-1] + 1.0) * (total - m[:-1]))
+        w, v = eigh_tridiagonal(np.zeros(size), off)
+        evals[total, :size] = w
+        vecs[total, :size, :size] = (1j ** np.arange(size))[:, np.newaxis] * v
+    for arr in (index, evals, vecs):
+        arr.setflags(write=False)
+    return _Sectors(index, evals, vecs)
+
+
+def _rotation_phases(params: BeamsplitterParams, sectors: _Sectors) -> np.ndarray:
+    """exp(-i theta lambda) per sector eigenvalue, theta = arccos(sqrt(T))."""
+    theta = math.acos(min(1.0, math.sqrt(params.T)))
+    return np.exp(-1j * theta * sectors.evals)[:, np.newaxis, :]
 
 
 @lru_cache(maxsize=64)
@@ -77,20 +116,29 @@ def _mode_b_occupations(dim_a: int, dim_b: int) -> np.ndarray:
 
 def bs_unitary(params: BeamsplitterParams, dim_a: int, dim_b: int) -> np.ndarray:
     """Dense (dim_a*dim_b)^2 mixing unitary in the joint number basis."""
-    evals, vecs = _rotation_eig(dim_a, dim_b)
-    theta = math.acos(min(1.0, math.sqrt(params.T)))
-    rot = (vecs * np.exp(-1j * theta * evals)) @ vecs.conj().T
+    sectors = _sectors(dim_a, dim_b)
+    size = dim_a * dim_b
+    # Padding rows and columns land in the extra row and column, cut below.
+    rot = np.zeros((size + 1, size + 1), dtype=complex)
+    vecs, idx = sectors.vecs, sectors.index
+    blocks = (vecs * _rotation_phases(params, sectors)) @ vecs.conj().swapaxes(1, 2)
+    rot[idx[:, :, np.newaxis], idx[:, np.newaxis, :]] = blocks
     phase = np.exp(1j * params.phase_rad * _mode_b_occupations(dim_a, dim_b))
-    return rot * phase[np.newaxis, :]
+    return rot[:size, :size] * phase[np.newaxis, :]
 
 
 def _mixed_amps(amps_a: np.ndarray, amps_b: np.ndarray, params: BeamsplitterParams) -> np.ndarray:
     dim_a, dim_b = amps_a.size, amps_b.size
-    evals, vecs = _rotation_eig(dim_a, dim_b)
-    psi = np.kron(amps_a, amps_b)
-    psi = psi * np.exp(1j * params.phase_rad * _mode_b_occupations(dim_a, dim_b))
-    theta = math.acos(min(1.0, math.sqrt(params.T)))
-    return vecs @ (np.exp(-1j * theta * evals) * (vecs.conj().T @ psi))
+    sectors = _sectors(dim_a, dim_b)
+    psi = np.zeros(dim_a * dim_b + 1, dtype=complex)
+    psi[:-1] = np.kron(amps_a, amps_b * np.exp(1j * params.phase_rad * np.arange(dim_b)))
+    vecs = sectors.vecs
+    # Row-vector form of vecs diag(phases) vecs^dag psi, one row per sector.
+    coeffs = np.conj(np.conj(psi[sectors.index])[:, np.newaxis, :] @ vecs)
+    coeffs *= _rotation_phases(params, sectors)
+    out = np.empty_like(psi)
+    out[sectors.index] = (coeffs @ vecs.swapaxes(1, 2))[:, 0, :]
+    return out[:-1]
 
 
 def mix(state_a: FockVector, state_b: FockVector, params: BeamsplitterParams) -> TwoModeState:

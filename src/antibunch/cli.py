@@ -126,9 +126,14 @@ def _cmd_g2(args) -> int:
         params = BeamsplitterParams(R=float(bs["R"]), phi=float(bs.get("phi", 0.0)))
         psi_a = build_state(cfg["state_a"], args.dim)
         psi_b = build_state(cfg["state_b"], args.dim)
-        g2, n_mean = beamsplitter.output_g2(psi_a, psi_b, params)
+        # The truncated rotation cuts every photon-number sector at the
+        # smaller arm, so both arms share the larger truncation.
+        dim = max(psi_a.dim, psi_b.dim)
+        psi_a, psi_b = psi_a.padded(dim), psi_b.padded(dim)
+        g2, n_mean = beamsplitter.output_moments(psi_a, psi_b, params)
         joint = beamsplitter.mix(psi_a, psi_b, params)
-        p_n = np.diag(fock.partial_trace_a(joint).mat).real
+        p_n = (np.abs(joint.as_matrix()) ** 2).sum(axis=1)
+        p_n /= p_n.sum()
     report = {
         "g2": float(g2),
         "n_mean": float(n_mean),

@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.linalg import expm
 
 from antibunch import fock, states
 from antibunch.beamsplitter import (
@@ -50,6 +54,51 @@ class TestUnitary:
         u = bs_unitary(BeamsplitterParams(0.25, 1.3), 5, 7)
         n_tot = fock.lift_a(fock.number(5), 7) + fock.lift_b(fock.number(7), 5)
         assert np.max(np.abs(u.conj().T @ n_tot @ u - n_tot)) < 1e-11
+
+
+def dense_mix(amps_a, amps_b, params):
+    """Reference mixer: expm of the dense truncated joint generator."""
+    a = fock.annihilation(amps_a.size)
+    b = fock.annihilation(amps_b.size)
+    generator = np.kron(a.conj().T, b) - np.kron(a, b.conj().T)
+    theta = np.arccos(np.sqrt(params.T))
+    phase_b = np.exp(1j * params.phase_rad * np.arange(amps_b.size))
+    return expm(theta * generator) @ np.kron(amps_a, amps_b * phase_b)
+
+
+unequal_dims = st.tuples(st.integers(2, 10), st.integers(2, 10)).filter(lambda d: d[0] != d[1])
+splitters = st.builds(
+    BeamsplitterParams, st.floats(0.0, 1.0), st.floats(0.0, 2.0, exclude_max=True)
+)
+
+
+@st.composite
+def random_states(draw, dim):
+    parts = draw(hnp.arrays(float, (2, dim), elements=st.floats(-1.0, 1.0)))
+    amps = parts[0] + 1j * parts[1]
+    norm = np.linalg.norm(amps)
+    return FockVector(amps / norm if norm > 1e-3 else np.eye(dim)[1])
+
+
+class TestSectorMixing:
+    @settings(max_examples=60, deadline=None)
+    @given(dims=unequal_dims, params=splitters, data=st.data())
+    def test_mix_matches_dense_expm(self, dims, params, data):
+        psi_a = data.draw(random_states(dims[0]))
+        psi_b = data.draw(random_states(dims[1]))
+        joint = mix(psi_a, psi_b, params)
+        assert (joint.dim_a, joint.dim_b) == dims
+        reference = dense_mix(psi_a.amps, psi_b.amps, params)
+        assert np.max(np.abs(joint.amps - reference)) < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(dims=unequal_dims, params=splitters)
+    def test_unitary_is_unitary_and_sector_diagonal(self, dims, params):
+        u = bs_unitary(params, *dims)
+        size = dims[0] * dims[1]
+        assert np.max(np.abs(u.conj().T @ u - np.eye(size))) < 1e-12
+        n_tot = np.add.outer(np.arange(dims[0]), np.arange(dims[1])).ravel()
+        assert not np.any(u[n_tot[:, np.newaxis] != n_tot[np.newaxis, :]])
 
 
 class TestConservation:

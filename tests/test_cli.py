@@ -85,6 +85,31 @@ class TestG2Command:
         report = json.loads(capsys.readouterr().out)
         assert report["g2"] == pytest.approx(0.036066051, rel=1e-5)
 
+    def test_pair_with_unequal_default_truncations(self, tmp_path, capsys):
+        # the two-photon arm defaults to 3 levels and the coherent arm to
+        # 18; g2 must not depend on the smaller arm's truncation
+        from antibunch import states
+        from antibunch.beamsplitter import BeamsplitterParams, output_moments
+
+        cfg = write_config(
+            tmp_path,
+            {
+                "state_a": {"kind": "vacuum_two_photon", "c2": 0.1},
+                "state_b": {"kind": "coherent", "alpha": 0.5},
+                "beamsplitter": {"R": 0.5, "phi": 0.3},
+            },
+        )
+        assert cli.main(["g2", "--config", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        g2, n_mean = output_moments(
+            states.vacuum_two_photon(0.1, 3), states.coherent(0.5, 18), BeamsplitterParams(0.5, 0.3)
+        )
+        assert g2 == pytest.approx(1.10780147178268, abs=1e-10)
+        assert report["g2"] == pytest.approx(g2, abs=1e-10)
+        assert report["n_mean"] == pytest.approx(n_mean, abs=1e-10)
+        assert len(report["p_n"]) == 18
+        assert sum(report["p_n"]) == pytest.approx(1.0, abs=1e-10)
+
     def test_pretty_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"state": {"kind": "coherent", "alpha": 0.4}})
         assert cli.main(["g2", "--config", str(cfg), "--pretty"]) == 0

@@ -29,11 +29,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import VacuumOutputError
+from .errors import INTENSITY_FLOOR, VacuumOutputError
 from .fock import FockVector, TwoModeState, annihilation, lift_a, lift_b
-
-# Mean photon number below which g2 is reported as an error, not a number.
-INTENSITY_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types and the g2 intensity floor shared across the package."""
+
+# Mean photon number below which g2 is reported as an error, not a number.
+INTENSITY_FLOOR = 1e-12
 
 
 class AntibunchError(Exception):

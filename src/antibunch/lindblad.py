@@ -9,6 +9,10 @@ field equal those of the displaced mode up to a scale that cancels in g2.
 g2(tau) uses the quantum regression theorem: seed rho1 = d rho_ss d+ /
 Tr(d rho_ss d+), evolve tau under the Liouvillian, read Tr(d+ d rho1(tau));
 with that seed normalization g2(tau) = Tr(d+ d rho1(tau)) / Tr(d+ d rho_ss).
+The seed evolves on the basis states the steady-state kernel solved on (the
+excitation ladder for weakly driven systems, else the full space) by exact
+exponential steps, one per tau interval, so the curve relaxes to exactly the
+steady state the kernel returned.
 """
 
 from __future__ import annotations
@@ -21,13 +25,16 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import gmres, splu
+from scipy.sparse.linalg import expm_multiply, gmres, splu
 
 from . import optimize
-from .errors import InvalidDimensionError, SteadyStateError, VacuumOutputError
+from .errors import (
+    INTENSITY_FLOOR,
+    InvalidDimensionError,
+    SteadyStateError,
+    VacuumOutputError,
+)
 from .fock import DensityMatrix, annihilation
-
-INTENSITY_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -154,12 +161,15 @@ def _kernel_direct(lio: sp.spmatrix, n: int) -> np.ndarray:
         raise SteadyStateError(f"Liouvillian solve failed: {exc}") from exc
 
 
-def _kernel_graded(model: CavityModel, lio: sp.spmatrix) -> np.ndarray | None:
+def _kernel_graded(
+    model: CavityModel, lio: sp.spmatrix
+) -> tuple[np.ndarray, np.ndarray] | None:
     # Restrict the bumped solve to product states with total excitation <= K
     # and grow K until each mode's occupation and second factorial moment
     # stop moving.  Truncation error shrinks geometrically with K for weakly
-    # driven states, so the converged answer carries full direct-LU accuracy;
-    # returns None when the ladder outgrows the affordable solve size.
+    # driven states, so the converged answer carries full direct-LU accuracy.
+    # Returns the full-space vector and the kept basis states, or None when
+    # the ladder outgrows the affordable solve size.
     n = model.hilbert_dim
     grades = np.indices(model.dims).reshape(model.modes, -1)
     total = grades.sum(axis=0)
@@ -175,7 +185,7 @@ def _kernel_graded(model: CavityModel, lio: sp.spmatrix) -> np.ndarray | None:
         x = np.zeros(n * n, dtype=complex)
         x[pairs] = x_sub
         if s == n:
-            return x  # ladder reached the full space: this IS the direct solve
+            return x, keep  # ladder reached the full space: this IS the direct solve
         diag = x_sub.reshape(s, s).diagonal().real
         occ = grades[:, keep].astype(float)
         moments = np.concatenate([occ @ diag, (occ * (occ - 1.0)) @ diag])
@@ -187,7 +197,7 @@ def _kernel_graded(model: CavityModel, lio: sp.spmatrix) -> np.ndarray | None:
             # achievable nor needed by any observable built from the state.
             live = drift[scale >= 1e-16]
             if live.size == 0 or np.max(live) < _GRADED_MOMENT_TOL:
-                return x
+                return x, keep
         prev_moments = moments
     return None
 
@@ -226,6 +236,45 @@ def _kernel_evolve(lio: sp.spmatrix, n: int) -> np.ndarray:
     raise SteadyStateError("Liouvillian time marching did not reach stationarity")
 
 
+def _solve_steady(
+    model: CavityModel, method: str
+) -> tuple[np.ndarray, sp.csr_matrix, np.ndarray]:
+    # Steady state (trace-normalized, Hermitian, residual-gated), the full
+    # Liouvillian, and the basis states the kernel solved on.
+    if not model.collapse_ops:
+        raise SteadyStateError("model has no decay channel; steady state not unique")
+    lio = liouvillian(model)
+    n = model.hilbert_dim
+    keep = np.arange(n)
+    if method == "direct":
+        x = _kernel_direct(lio, n)
+    elif method == "graded":
+        graded = _kernel_graded(model, lio)
+        if graded is None:
+            raise SteadyStateError("graded kernel ladder did not converge")
+        x, keep = graded
+    elif method == "march":
+        x = _kernel_evolve(lio, n)
+    elif method == "auto":
+        if n * n <= _DIRECT_SOLVE_LIMIT:
+            x = _kernel_direct(lio, n)
+        else:
+            graded = _kernel_graded(model, lio)
+            if graded is None:
+                x = _kernel_evolve(lio, n)
+            else:
+                x, keep = graded
+    else:
+        raise ValueError(f"unknown steady-state method {method!r}")
+    rho = x.reshape(n, n)
+    rho = 0.5 * (rho + rho.conj().T)
+    rho = rho / np.trace(rho).real
+    residual = np.max(np.abs(lio @ rho.reshape(-1)))
+    if residual > 1e-10:
+        raise SteadyStateError(f"steady-state residual {residual:.3e} exceeds 1e-10")
+    return rho, lio, keep
+
+
 def steady_state(model: CavityModel, *, method: str = "auto") -> DensityMatrix:
     """Kernel of L, trace-normalized.
 
@@ -236,33 +285,7 @@ def steady_state(model: CavityModel, *, method: str = "auto") -> DensityMatrix:
     "graded", "march") can be forced for cross-checks; "direct" on a large
     system is the caller's own memory risk.
     """
-    if not model.collapse_ops:
-        raise SteadyStateError("model has no decay channel; steady state not unique")
-    lio = liouvillian(model)
-    n = model.hilbert_dim
-    if method == "direct":
-        x = _kernel_direct(lio, n)
-    elif method == "graded":
-        x = _kernel_graded(model, lio)
-        if x is None:
-            raise SteadyStateError("graded kernel ladder did not converge")
-    elif method == "march":
-        x = _kernel_evolve(lio, n)
-    elif method == "auto":
-        if n * n <= _DIRECT_SOLVE_LIMIT:
-            x = _kernel_direct(lio, n)
-        else:
-            x = _kernel_graded(model, lio)
-            if x is None:
-                x = _kernel_evolve(lio, n)
-    else:
-        raise ValueError(f"unknown steady-state method {method!r}")
-    rho = x.reshape(n, n)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    residual = np.max(np.abs(lio @ rho.reshape(-1)))
-    if residual > 1e-10:
-        raise SteadyStateError(f"steady-state residual {residual:.3e} exceeds 1e-10")
+    rho, _, _ = _solve_steady(model, method)
     return DensityMatrix(rho)
 
 
@@ -317,34 +340,36 @@ class CorrelationCurve:
 def g2_tau(
     model: CavityModel, mix: dict | None, tau_grid: Sequence[float]
 ) -> CorrelationCurve:
-    """g2(tau) by quantum regression with adaptive RK integration (rtol 1e-9)."""
+    """g2(tau) by quantum regression.
+
+    The seed d rho_ss d+ evolves on the basis states the steady-state kernel
+    solved on (the steady state's excitation ladder, or the full space) by
+    exact exponential steps, one per interval of tau_grid.
+    """
     tau = np.asarray(tau_grid, dtype=float)
-    if tau[0] != 0.0:
-        raise ValueError("tau grid must start at 0")
-    rho_ss = steady_state(model).mat
+    if tau.ndim != 1 or tau[0] != 0.0 or np.any(np.diff(tau) <= 0):
+        raise ValueError("tau grid must be 1-D, start at 0, strictly increasing")
+    rho_ss, lio, keep = _solve_steady(model, "auto")
+    _, n_ss = _g2_and_intensity(model, mix, rho_ss)
     d = _measured_operator(model, mix)
     dd = d.conj().T @ d
-    n_ss = np.trace(dd @ rho_ss).real
-    if n_ss < INTENSITY_FLOOR:
-        raise VacuumOutputError(f"measured intensity {n_ss:.3e} below floor; g2 undefined")
     seed = d @ rho_ss @ d.conj().T
     seed = seed / np.trace(seed).real  # trace equals n_ss by construction
-    lio = liouvillian(model)
-    readout = dd.T.reshape(-1)  # Tr(dd rho) = readout . vec(rho)
-
-    sol = solve_ivp(
-        lambda _t, y: lio @ y,
-        (0.0, float(tau[-1])),
-        seed.reshape(-1),
-        t_eval=tau,
-        method="RK45",
-        rtol=1e-9,
-        atol=1e-12,
-    )
-    if not sol.success:
-        raise RuntimeError(f"regression evolution failed: {sol.message}")
-    g2 = (readout @ sol.y).real / n_ss
-    return CorrelationCurve(tau, g2)
+    # d never raises the excitation, so the seed lives on the kernel's basis
+    # states; L restricted to them has rho_ss as its exact kernel, so the
+    # curve relaxes to the very state the kernel returned.
+    n = model.hilbert_dim
+    pairs = (keep[:, None] * n + keep[None, :]).ravel()
+    lio_k = lio[pairs][:, pairs]
+    trace = lio_k.trace()
+    y = seed.reshape(-1)[pairs]
+    readout = dd.T.reshape(-1)[pairs]  # Tr(dd rho) = readout . vec(rho)
+    g2 = np.empty(tau.size)
+    g2[0] = (readout @ y).real
+    for i, h in enumerate(np.diff(tau), start=1):
+        y = expm_multiply(lio_k * h, y, traceA=trace * h)
+        g2[i] = (readout @ y).real
+    return CorrelationCurve(tau, g2 / n_ss)
 
 
 def oscillation_frequency(curve: CorrelationCurve) -> float | None:

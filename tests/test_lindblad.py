@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
+from scipy.sparse.linalg import expm_multiply
 
 from antibunch import beamsplitter, lindblad
 from antibunch.errors import (
@@ -208,6 +210,46 @@ class TestG2Tau:
         model = build_single_kerr(0.5, 0.3, 0.0, 12)
         curve = g2_tau(model, None, np.linspace(0.0, 20.0, 41))
         assert curve.g2_values[-1] == pytest.approx(1.0, abs=1e-6)
+
+    # Coupled cavities at the tuned unconventional-blockade point.  The curve
+    # is read off an intensity n_ss ~ 3e-7, far below any absolute tolerance
+    # an integrator would put on rho, so these references are exponentials.
+    @staticmethod
+    def _blockade_model(dims):
+        J = 6.2
+        U = 2.0 / (3.0 * np.sqrt(3.0) * J**2)
+        return build_coupled_cavities(U, J, 0.04, 0.2852, dims)
+
+    @staticmethod
+    def _seed_and_readout(model, rho_ss):
+        a = model.monitored
+        n_ss = np.trace(a.conj().T @ a @ rho_ss).real
+        seed = a @ rho_ss @ a.conj().T
+        seed = seed.reshape(-1) / np.trace(seed).real
+        return seed, (a.conj().T @ a).T.reshape(-1) / n_ss
+
+    def test_coupled_curve_matches_dense_exponential_steps(self):
+        model = self._blockade_model((6, 6))  # full space, direct kernel
+        tau = np.linspace(0.0, 10.0, 51)
+        y, readout = self._seed_and_readout(model, steady_state(model, method="direct").mat)
+        step = scipy.linalg.expm(liouvillian(model).toarray() * (tau[1] - tau[0]))
+        reference = []
+        for _ in tau:
+            reference.append((readout @ y).real)
+            y = step @ y
+        curve = g2_tau(model, None, tau)
+        assert np.max(np.abs(curve.g2_values - reference)) < 1e-9
+
+    def test_ladder_curve_matches_full_space_propagation(self):
+        model = self._blockade_model((11, 10))
+        assert model.hilbert_dim**2 > lindblad._DIRECT_SOLVE_LIMIT  # graded kernel
+        tau = np.linspace(0.0, 3.0, 7)
+        y, readout = self._seed_and_readout(model, steady_state(model).mat)
+        states = expm_multiply(
+            liouvillian(model), y, start=0.0, stop=3.0, num=7, endpoint=True
+        )
+        curve = g2_tau(model, None, tau)
+        assert np.max(np.abs(curve.g2_values - (states @ readout).real)) < 1e-9
 
 
 class TestOscillationFrequency:

@@ -200,18 +200,62 @@ def _ladder_moments(amps: np.ndarray) -> np.ndarray:
     """3x3 table m[p, q] = <a+^p a^q> on a pure single-mode state.
 
     The truncated lowering operator acts exactly on a truncated state, so
-    these moments carry no truncation error beyond the state's own.
+    these moments carry no truncation error beyond the state's own.  a^q c
+    is c shifted down by q levels and scaled by sqrt(n+1)...sqrt(n+q), so
+    the table costs O(dim) with no operator matrix.
     """
-    a = annihilation(amps.size)
-    v0 = np.asarray(amps, dtype=complex)
-    v1 = a @ v0
-    v2 = a @ v1
-    vecs = (v0, v1, v2)
-    m = np.empty((3, 3), dtype=complex)
-    for p in range(3):
-        for q in range(3):
-            m[p, q] = np.vdot(vecs[p], vecs[q])
-    return m
+    c = np.asarray(amps, dtype=complex)
+    root = np.sqrt(np.arange(1.0, c.size))
+    shifted = np.zeros((3, c.size), dtype=complex)  # rows c, a c, a^2 c
+    shifted[0] = c
+    shifted[1, :-1] = root * c[1:]  # (a c)[n] = sqrt(n+1) c[n+1]
+    shifted[2, :-2] = root[:-1] * shifted[1, 1:-1]  # (a^2 c)[n] = sqrt(n+1) (a c)[n+1]
+    return (np.conj(shifted)[:, np.newaxis, :] * shifted[np.newaxis, :, :]).sum(axis=-1)
+
+
+def _moment_g2(ma: np.ndarray, mb: np.ndarray, R, phi) -> tuple[np.ndarray, np.ndarray]:
+    """(g2, n_mean) of output mode A from input moment tables, broadcast.
+
+    ma and mb are <a+^p a^q> tables of shape (..., 3, 3); R and phi are
+    scalars or arrays.  All leading shapes broadcast together, so a map
+    over (R, phi) or over input amplitudes is one array expression.  The
+    outputs are at least 1-d, and both are NaN where n_mean is below
+    INTENSITY_FLOOR.
+    """
+    # At least 1-d, so every step below is an array operation: numpy's
+    # scalar complex arithmetic rounds differently from its array loops, and
+    # a single cell must come out bit-identical to the same cell of a map.
+    R, phi = np.atleast_1d(np.asarray(R, dtype=float), np.asarray(phi, dtype=float))
+    if not ((0.0 <= R) & (R <= 1.0)).all():
+        raise ValueError(f"reflectance must lie in [0, 1], got {R}")
+    u = np.sqrt(1.0 - R)
+    v = np.sqrt(R) * np.exp(1j * (np.pi * phi))
+    # Table entries first: ma[p, q] is one entry across all tables.
+    ma = ma.transpose(ma.ndim - 2, ma.ndim - 1, *range(ma.ndim - 2))
+    mb = mb.transpose(mb.ndim - 2, mb.ndim - 1, *range(mb.ndim - 2))
+    n_mean = (
+        u * u * ma[1, 1]
+        + abs(v) ** 2 * mb[1, 1]
+        + u * v * ma[1, 0] * mb[0, 1]
+        + u * np.conj(v) * ma[0, 1] * mb[1, 0]
+    ).real
+    # A^2 = u^2 a^2 + 2uv ab + v^2 b^2 term degrees in (a, b):
+    weights = (u * u, 2.0 * u * v, v * v)
+    conj_weights = tuple(np.conj(w) for w in weights)
+    deg_a = (2, 1, 0)
+    deg_b = (0, 1, 2)
+    g2num = 0.0j
+    for j in range(3):
+        for k in range(3):
+            # Not +=: a later term can broadcast to a larger shape than the sum so far.
+            g2num = g2num + (
+                conj_weights[j]
+                * weights[k]
+                * ma[deg_a[j], deg_a[k]]
+                * mb[deg_b[j], deg_b[k]]
+            )
+    n_mean = np.where(n_mean < INTENSITY_FLOOR, np.nan, n_mean)
+    return g2num.real / (n_mean * n_mean), n_mean
 
 
 def output_moments(
@@ -225,34 +269,15 @@ def output_moments(
     Agrees with output_g2 to roundoff; exists because the joint space for a
     large coherent amplitude would be prohibitively big to rotate.
     """
-    u = math.sqrt(params.T)
-    v = math.sqrt(params.R) * np.exp(1j * params.phase_rad)
-    ma = _ladder_moments(state_a.amps)
-    mb = _ladder_moments(state_b.amps)
-    n_mean = (
-        u * u * ma[1, 1]
-        + abs(v) ** 2 * mb[1, 1]
-        + u * v * ma[1, 0] * mb[0, 1]
-        + u * np.conj(v) * ma[0, 1] * mb[1, 0]
-    ).real
-    if n_mean < INTENSITY_FLOOR:
-        raise VacuumOutputError(
-            f"output intensity {n_mean:.3e} below floor {INTENSITY_FLOOR:g}; g2 undefined"
+    g2, n_mean = (
+        out.item()
+        for out in _moment_g2(
+            _ladder_moments(state_a.amps), _ladder_moments(state_b.amps), params.R, params.phi
         )
-    # A^2 = u^2 a^2 + 2uv ab + v^2 b^2 term degrees in (a, b):
-    weights = (u * u, 2.0 * u * v, v * v)
-    deg_a = (2, 1, 0)
-    deg_b = (0, 1, 2)
-    g2num = 0.0j
-    for j in range(3):
-        for k in range(3):
-            g2num += (
-                np.conj(weights[j])
-                * weights[k]
-                * ma[deg_a[j], deg_a[k]]
-                * mb[deg_b[j], deg_b[k]]
-            )
-    return float(g2num.real) / (n_mean * n_mean), float(n_mean)
+    )
+    if math.isnan(n_mean):
+        raise VacuumOutputError(f"output intensity below floor {INTENSITY_FLOOR:g}; g2 undefined")
+    return g2, n_mean
 
 
 def heisenberg_residual(params: BeamsplitterParams, dim_a: int, dim_b: int) -> float:

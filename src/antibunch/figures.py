@@ -3,7 +3,9 @@
 Each builder returns a FigureResult (column names, rows, reproducibility
 metadata); file writing lives in the CLI.  The g2 pipelines are registered
 in the optimizer's objective registry under stable names so sweep specs can
-reference them from JSON configs.
+name them.  They broadcast: given open-grid arrays they build one input
+state and one moment table per distinct value on each axis and evaluate
+the whole map as one array expression; given scalars they return floats.
 
 Phases follow the normalized-to-pi convention of the beamsplitter module in
 all inputs and outputs; radians never appear in emitted data.
@@ -19,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import lindblad, optimize, states
-from .beamsplitter import BeamsplitterParams, output_moments
+from .beamsplitter import BeamsplitterParams, _ladder_moments, _moment_g2, output_moments
 from .errors import VacuumOutputError
 from .fock import default_dim
 from .optimize import Axis, SweepSpec
@@ -60,51 +62,75 @@ def _meta(name: str, params: dict, t0: float, extra: dict | None = None) -> dict
 
 # ---------------------------------------------------------------- objectives
 
+def _tables(build, *args) -> np.ndarray:
+    """Moment tables of build(*values), one per cell of the broadcast args: (..., 3, 3)."""
+    args = np.broadcast_arrays(*args)
+    table = np.empty(args[0].shape + (3, 3), dtype=complex)
+    for idx in np.ndindex(args[0].shape):
+        table[idx] = _ladder_moments(build(*(a[idx].item() for a in args)).amps)
+    return table
+
+
+def _output(build_a, args_a, build_b, args_b, R, phi):
+    """(g2, n_mean) of output mode A for inputs build_a(*args_a), build_b(*args_b).
+
+    All-scalar inputs give floats and raise VacuumOutputError on a dark
+    output; otherwise the arrays broadcast and dark cells are NaN.
+    """
+    if all(np.ndim(x) == 0 for x in (*args_a, *args_b, R, phi)):
+        return output_moments(build_a(*args_a), build_b(*args_b), BeamsplitterParams(R=R, phi=phi))
+    return _moment_g2(_tables(build_a, *args_a), _tables(build_b, *args_b), R, phi)
+
+
+@optimize.broadcasting
 def phase_modified_mix(R, phi, alpha=0.3, dim=16):
     """g2 of output A: coherent state with rotated two-photon amplitude vs coherent."""
     dim = int(dim)
-    psi_a = states.phase_modified_coherent(alpha, dim)
-    psi_b = states.coherent(alpha, dim)
-    return output_moments(psi_a, psi_b, BeamsplitterParams(R=R, phi=phi))
+    return _output(lambda a: states.phase_modified_coherent(a, dim), (alpha,),
+                   lambda a: states.coherent(a, dim), (alpha,), R, phi)
 
 
+@optimize.broadcasting
 def kerr_mix(R, phi, alpha=0.3, chi_t=0.05, dim=16, alpha_b=None):
     """g2 of output A: Kerr-evolved coherent vs coherent (same alpha unless decoupled)."""
     dim = int(dim)
-    psi_a = states.kerr_coherent(KerrParams(alpha=alpha, chi_t=chi_t), dim)
-    psi_b = states.coherent(alpha if alpha_b is None else alpha_b, dim)
-    return output_moments(psi_a, psi_b, BeamsplitterParams(R=R, phi=phi))
+    return _output(lambda a, c: states.kerr_coherent(KerrParams(alpha=a, chi_t=c), dim),
+                   (alpha, chi_t),
+                   lambda a: states.coherent(a, dim), (alpha if alpha_b is None else alpha_b,),
+                   R, phi)
 
 
+@optimize.broadcasting
 def two_photon_mix(alpha, c2, R=0.5, phi=0.5, dim=16):
     """g2 of output A: vacuum+two-photon superposition vs coherent."""
     dim = int(dim)
-    psi_a = states.vacuum_two_photon(c2, dim)
-    psi_b = states.coherent(alpha, dim)
-    return output_moments(psi_a, psi_b, BeamsplitterParams(R=R, phi=phi))
+    return _output(lambda c: states.vacuum_two_photon(c, dim), (c2,),
+                   lambda a: states.coherent(a, dim), (alpha,), R, phi)
 
 
+@optimize.broadcasting
 def cat_mix(alpha_sch, alpha, parity=1, R=0.5, phi=0.5, dim=16):
     """g2 of output A: even/odd cat vs coherent."""
     dim = int(dim)
-    psi_a = states.cat_state(CatParams(alpha_sch=alpha_sch, parity=int(parity)), dim)
-    psi_b = states.coherent(alpha, dim)
-    return output_moments(psi_a, psi_b, BeamsplitterParams(R=R, phi=phi))
+    return _output(lambda s, p: states.cat_state(CatParams(alpha_sch=s, parity=int(p)), dim),
+                   (alpha_sch, parity),
+                   lambda a: states.coherent(a, dim), (alpha,), R, phi)
 
 
+@optimize.broadcasting
 def squeezed_mix(r=0.05, alpha=0.5, phi=1.0, R=0.1, omega=0.0, dim_a=None, dim_b=None):
     """g2 of output A: squeezed vacuum (xi = r e^{i omega}) vs coherent.
 
     omega is in radians (an internal state parameter, not an I/O phase).
     """
-    xi = r * np.exp(1j * omega)
-    if dim_a is None:
-        dim_a = max(24, int(np.ceil(20.0 * (1.0 + r))))
-    if dim_b is None:
-        dim_b = default_dim(alpha)
-    psi_a = states.squeezed_vacuum(xi, int(dim_a))
-    psi_b = states.coherent(alpha, int(dim_b))
-    return output_moments(psi_a, psi_b, BeamsplitterParams(R=R, phi=phi))
+    def squeezed(r, omega):
+        dim = max(24, int(np.ceil(20.0 * (1.0 + r)))) if dim_a is None else dim_a
+        return states.squeezed_vacuum(r * np.exp(1j * omega), int(dim))
+
+    def coherent(alpha):
+        return states.coherent(alpha, int(default_dim(alpha) if dim_b is None else dim_b))
+
+    return _output(squeezed, (r, omega), coherent, (alpha,), R, phi)
 
 
 for _name, _fn in (
@@ -120,18 +146,9 @@ for _name, _fn in (
 # ------------------------------------------------------------------ builders
 
 def _grid_rows(res: optimize.SweepResult) -> list:
-    v0, v1 = res.axis_values
-    rows = []
-    for i, x in enumerate(v0):
-        for j, y in enumerate(v1):
-            rows.append(
-                (
-                    float(x), float(y),
-                    float(res.g2[i, j]), float(res.n_mean[i, j]),
-                    int(res.defined[i, j]),
-                )
-            )
-    return rows
+    x, y = np.meshgrid(*res.axis_values, indexing="ij")
+    columns = (x, y, res.g2, res.n_mean, res.defined.astype(int))
+    return list(zip(*(c.ravel().tolist() for c in columns)))
 
 
 @register_figure("fig2")

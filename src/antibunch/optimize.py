@@ -1,10 +1,14 @@
 """Grid sweeps and derivative-free refinement of correlation objectives.
 
-An objective is a pure function taking named scalar parameters and
-returning (g2, n_mean).  Cells where g2 is undefined (vacuum output) are
-stored as explicit markers, never fabricated numbers, and are excluded
-from argmin.  Identical specs produce bit-identical results: evaluation
-order is the deterministic row-major grid order.
+An objective is a pure function taking named parameters and returning
+(g2, n_mean).  A plain objective takes scalars and is called once per grid
+cell in the deterministic row-major order.  An objective marked with
+``broadcasting`` also accepts its swept parameters as open-grid arrays
+(``np.ix_`` shapes) and returns the whole grid from one call; called with
+scalars it still returns floats, which is how refinement uses it.  Cells
+where g2 is undefined (vacuum output, or any non-finite g2) are stored as
+explicit markers, never fabricated numbers, and are excluded from argmin.
+Identical specs produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -22,8 +26,14 @@ from .errors import VacuumOutputError
 Objective = Callable[..., tuple[float, float]]
 
 # Figure pipelines register their objectives here so that a SweepSpec can
-# name its objective and round-trip through the CLI JSON config.
+# name its objective.
 OBJECTIVE_REGISTRY: dict[str, Objective] = {}
+
+
+def broadcasting(fn: Objective) -> Objective:
+    """Mark an objective that evaluates open-grid array parameters in one call."""
+    fn.broadcasts = True
+    return fn
 
 
 def register_objective(name: str, fn: Objective) -> None:
@@ -56,6 +66,10 @@ class Axis:
             raise ValueError(f"axis {self.name}: need lo < hi, got [{self.lo}, {self.hi}]")
         if self.spacing not in ("linear", "geom"):
             raise ValueError(f"axis {self.name}: spacing must be 'linear' or 'geom'")
+        if self.spacing == "geom" and not (self.lo > 0 and self.hi > 0):
+            raise ValueError(
+                f"axis {self.name}: geometric spacing needs lo, hi > 0, got [{self.lo}, {self.hi}]"
+            )
 
     def values(self) -> np.ndarray:
         if self.count == 1:
@@ -93,17 +107,22 @@ def sweep(spec: SweepSpec) -> SweepResult:
     fn = resolve_objective(spec.objective)
     values = tuple(ax.values() for ax in spec.axes)
     shape = tuple(v.size for v in values)
-    g2 = np.full(shape, np.nan)
-    n_mean = np.full(shape, np.nan)
-    defined = np.zeros(shape, dtype=bool)
     names = [ax.name for ax in spec.axes]
-    for idx in itertools.product(*(range(s) for s in shape)):
-        params = {name: float(vals[i]) for name, vals, i in zip(names, values, idx)}
-        try:
-            g2[idx], n_mean[idx] = fn(**params, **spec.fixed)
-            defined[idx] = True
-        except VacuumOutputError:
-            pass
+    if getattr(fn, "broadcasts", False):
+        grid = dict(zip(names, np.ix_(*values)))
+        g2, n_mean = (np.broadcast_to(out, shape).astype(float) for out in fn(**grid, **spec.fixed))
+    else:
+        g2 = np.full(shape, np.nan)
+        n_mean = np.full(shape, np.nan)
+        for idx in itertools.product(*(range(s) for s in shape)):
+            params = {name: float(vals[i]) for name, vals, i in zip(names, values, idx)}
+            try:
+                g2[idx], n_mean[idx] = fn(**params, **spec.fixed)
+            except VacuumOutputError:
+                pass
+    defined = np.isfinite(g2)
+    g2[~defined] = np.nan
+    n_mean[~defined] = np.nan
     if not defined.any():
         raise VacuumOutputError("g2 undefined on every grid cell")
     masked = np.where(defined, g2, np.inf)
@@ -121,25 +140,6 @@ def sweep(spec: SweepSpec) -> SweepResult:
         min_g2=float(g2[best]),
         n_at_min=float(n_mean[best]),
     )
-
-
-def spec_to_dict(spec: SweepSpec) -> dict:
-    """JSON-ready form of a spec; requires a registry-named objective."""
-    if not isinstance(spec.objective, str):
-        raise ValueError("only registry-named objectives serialize to JSON")
-    return {
-        "axes": [
-            {"name": ax.name, "lo": ax.lo, "hi": ax.hi, "count": ax.count, "spacing": ax.spacing}
-            for ax in spec.axes
-        ],
-        "objective": spec.objective,
-        "fixed": dict(spec.fixed),
-    }
-
-
-def spec_from_dict(d: dict) -> SweepSpec:
-    axes = tuple(Axis(**a) for a in d["axes"])
-    return SweepSpec(axes=axes, objective=d["objective"], fixed=dict(d.get("fixed", {})))
 
 
 def refine_min(

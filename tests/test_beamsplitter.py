@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from antibunch import fock, states
 from antibunch.beamsplitter import (
     BeamsplitterParams,
+    _ladder_moments,
     bs_unitary,
     g2_from_coeffs,
     heisenberg_residual,
@@ -163,6 +164,18 @@ class TestOutputStatistics:
             g2_a, n_a = output_g2(psi_a, psi_b, mirrored)
             assert g2_b == pytest.approx(g2_a, rel=1e-9)
             assert n_b == pytest.approx(n_a, rel=1e-9)
+
+
+class TestLadderMoments:
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(3, 200), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_lowering_operator(self, dim, seed):
+        psi = random_state(np.random.default_rng(seed), dim)
+        a = fock.annihilation(dim)
+        vecs = (psi.amps, a @ psi.amps, a @ a @ psi.amps)
+        dense = np.array([[np.vdot(vp, vq) for vq in vecs] for vp in vecs])
+        fast = _ladder_moments(psi.amps)
+        assert np.max(np.abs(fast - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 class TestG2FromCoeffs:

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antibunch import figures
+from antibunch.errors import VacuumOutputError
+from antibunch.optimize import Axis, SweepSpec, sweep
 from antibunch.figures import (
     FIGURES,
     fig2,
@@ -33,6 +37,60 @@ class TestRegistry:
             "squeezed_mix",
         ):
             assert name in OBJECTIVE_REGISTRY
+
+
+# Two swept axes (name, largest value) and fixed parameters per objective;
+# every axis may start at 0, where alpha = 0 or alpha_sch = 0 gives vacuum
+# inputs and undefined cells.
+BROADCAST_CASES = {
+    "phase_modified_mix": (("alpha", 0.6), ("R", 1.0), {"phi": 0.7}),
+    "kerr_mix": (("alpha", 0.6), ("phi", 2.0), {"R": 0.4, "chi_t": 0.05}),
+    "two_photon_mix": (("alpha", 1.0), ("c2", 1.0), {"R": 0.3, "phi": 1.2}),
+    "cat_mix": (("alpha_sch", 0.4), ("alpha", 0.4), {}),
+    "squeezed_mix": (("r", 0.05), ("alpha", 1.5), {}),
+}
+
+
+@st.composite
+def axes_of(draw, name, top):
+    lo = draw(st.one_of(st.just(0.0), st.floats(0.0, top / 2)))
+    hi = lo + draw(st.floats(top / 100, top / 2))
+    return Axis(name, lo, hi, draw(st.integers(1, 4)))
+
+
+def _sweep_or_dark(spec):
+    try:
+        return sweep(spec)
+    except VacuumOutputError:
+        return None
+
+
+class TestBroadcastSweep:
+    @pytest.mark.parametrize("name", sorted(BROADCAST_CASES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_cell_calls(self, name, data):
+        (name_0, top_0), (name_1, top_1), fixed = BROADCAST_CASES[name]
+        axes = (data.draw(axes_of(name_0, top_0)), data.draw(axes_of(name_1, top_1)))
+        objective = getattr(figures, name)
+        wide = _sweep_or_dark(SweepSpec(axes=axes, objective=objective, fixed=fixed))
+        # A plain wrapper drops the broadcasting mark: sweep calls it per cell.
+        loop = _sweep_or_dark(
+            SweepSpec(axes=axes, objective=lambda **kw: objective(**kw), fixed=fixed)
+        )
+        assert (wide is None) == (loop is None)
+        if wide is None:
+            return
+        np.testing.assert_allclose(wide.g2, loop.g2, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(wide.n_mean, loop.n_mean, rtol=1e-12, atol=0.0)
+        assert np.array_equal(wide.defined, loop.defined)
+        assert wide.argmin == loop.argmin
+
+    def test_scalar_call_keeps_float_contract(self):
+        g2, n_mean = figures.cat_mix(alpha_sch=0.2, alpha=0.1)
+        assert type(g2) is float and type(n_mean) is float
+        with pytest.raises(VacuumOutputError):
+            figures.cat_mix(alpha_sch=0.0, alpha=0.0)
 
 
 class TestPhaseModifiedMap:
@@ -91,6 +149,10 @@ class TestSqueezedMap:
         # strong coherent drive swamps the squeezing: g2 -> 1
         strip = g2[alphas >= 2.0]
         assert np.max(np.abs(strip - 1.0)) == pytest.approx(0.07088, abs=2e-4)
+
+    def test_non_positive_geometric_bound_is_refused(self):
+        with pytest.raises(ValueError, match="axis r"):
+            fig6(r_lo=-0.002, r_count=3, alpha_count=3)
 
 
 class TestDelayedCorrelations:

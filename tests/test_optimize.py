@@ -12,8 +12,6 @@ from antibunch.optimize import (
     refine_min,
     resolve_objective,
     sensitivity,
-    spec_from_dict,
-    spec_to_dict,
     sweep,
 )
 
@@ -42,6 +40,11 @@ class TestAxis:
             Axis("x", 1.0, 0.0, 5)
         with pytest.raises(ValueError):
             Axis("x", 0.0, 1.0, 5, spacing="log")
+
+    @pytest.mark.parametrize("lo, hi, count", [(-0.002, 0.018, 3), (0.0, 1.0, 3), (0.0, 0.0, 1)])
+    def test_geometric_bounds_must_be_positive(self, lo, hi, count):
+        with pytest.raises(ValueError, match="axis r"):
+            Axis("r", lo, hi, count, spacing="geom")
 
 
 class TestSweep:
@@ -80,6 +83,32 @@ class TestSweep:
         assert np.isnan(res.g2[0])
         assert res.argmin == (0.5,)
 
+    def test_non_finite_cells_are_undefined(self):
+        def holes(x=0.0):
+            g2 = np.nan if x < 0.3 else np.inf if x > 0.8 else x
+            return g2, x
+
+        res = sweep(SweepSpec(axes=(Axis("x", 0.0, 1.0, 5),), objective=holes))
+        assert res.defined.tolist() == [False, False, True, True, False]
+        assert np.isnan(res.g2[4]) and np.isnan(res.n_mean[0])
+        assert res.argmin == (0.5,)
+
+    def test_broadcasting_objective_is_called_once_on_the_open_grid(self):
+        shapes = []
+
+        @optimize.broadcasting
+        def wide(x=0.0, y=0.0, offset=0.0):
+            shapes.append((np.shape(x), np.shape(y)))
+            return bowl(x, y, offset)
+
+        axes = (Axis("x", 0.0, 1.0, 11), Axis("y", 0.0, 1.0, 7))
+        res = sweep(SweepSpec(axes=axes, objective=wide, fixed={"offset": 0.5}))
+        loop = sweep(SweepSpec(axes=axes, objective=bowl, fixed={"offset": 0.5}))
+        assert shapes == [((11, 1), (1, 7))]
+        assert np.array_equal(res.g2, loop.g2)
+        assert np.array_equal(res.n_mean, loop.n_mean)
+        assert res.argmin == loop.argmin
+
     def test_all_undefined_raises(self):
         def dark(x=0.0):
             raise VacuumOutputError("dark")
@@ -100,22 +129,6 @@ class TestRegistryAndSerialization:
 
     def test_callable_passthrough(self):
         assert resolve_objective(bowl) is bowl
-
-    def test_spec_round_trip(self):
-        import antibunch.figures  # populates the registry
-
-        spec = SweepSpec(
-            axes=(Axis("R", 0.01, 0.5, 7), Axis("phi", 0.0, 2.0, 9, spacing="linear")),
-            objective="kerr_mix",
-            fixed={"alpha": 0.3},
-        )
-        again = spec_from_dict(spec_to_dict(spec))
-        assert again == spec
-
-    def test_callable_objective_does_not_serialize(self):
-        spec = SweepSpec(axes=(Axis("x", 0.0, 1.0, 3),), objective=bowl)
-        with pytest.raises(ValueError):
-            spec_to_dict(spec)
 
 
 class TestRefineMin:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -79,10 +78,10 @@ def build_state(spec: dict, dim_override: int | None = None) -> fock.FockVector:
         return states.cat_state(params, dim or fock.default_dim(alpha_sch))
     if kind == "squeezed_vacuum":
         xi = _as_complex(d["xi"], "xi")
-        return states.squeezed_vacuum(xi, dim or max(24, math.ceil(20 * (1 + abs(xi)))))
+        return states.squeezed_vacuum(xi, dim or max(24, fock.squeeze_dim(xi)))
     xi = _as_complex(d["xi"], "xi")
     alpha = _as_complex(d["alpha"], "alpha")
-    default = max(fock.default_dim(alpha), math.ceil(20 * (1 + abs(xi))))
+    default = max(fock.default_dim(alpha), fock.squeeze_dim(xi))
     return states.squeezed_coherent(alpha, xi, dim or default)
 
 

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import lindblad, optimize, states
 from .beamsplitter import BeamsplitterParams, _ladder_moments, _moment_g2, output_moments
-from .errors import VacuumOutputError
-from .fock import default_dim
+from .fock import default_dim, squeeze_dim
 from .optimize import Axis, SweepSpec
 from .states import CatParams, KerrParams
 
@@ -124,7 +123,7 @@ def squeezed_mix(r=0.05, alpha=0.5, phi=1.0, R=0.1, omega=0.0, dim_a=None, dim_b
     omega is in radians (an internal state parameter, not an I/O phase).
     """
     def squeezed(r, omega):
-        dim = max(24, int(np.ceil(20.0 * (1.0 + r)))) if dim_a is None else dim_a
+        dim = max(24, squeeze_dim(r)) if dim_a is None else dim_a
         return states.squeezed_vacuum(r * np.exp(1j * omega), int(dim))
 
     def coherent(alpha):
@@ -145,47 +144,37 @@ for _name, _fn in (
 
 # ------------------------------------------------------------------ builders
 
-def _grid_rows(res: optimize.SweepResult) -> list:
+def _map(name: str, axes: tuple[Axis, Axis], objective: str, fixed: dict,
+         params: dict) -> FigureResult:
+    """One row per cell of the sweep over axes; meta carries the argmin."""
+    t0 = time.perf_counter()
+    res = optimize.sweep(SweepSpec(axes=axes, objective=objective, fixed=fixed))
     x, y = np.meshgrid(*res.axis_values, indexing="ij")
     columns = (x, y, res.g2, res.n_mean, res.defined.astype(int))
-    return list(zip(*(c.ravel().tolist() for c in columns)))
+    rows = list(zip(*(c.ravel().tolist() for c in columns)))
+    extra = {"argmin": {ax.name: v for ax, v in zip(axes, res.argmin)},
+             "min_g2": res.min_g2, "n_at_min": res.n_at_min}
+    return FigureResult(name, (axes[0].name, axes[1].name, "g2", "n_mean", "defined"),
+                        rows, _meta(name, params, t0, extra))
 
 
 @register_figure("fig2")
 def fig2(alpha=0.3, dim=16, grid=101, r_lo=0.01, r_hi=0.5, phi_lo=0.0, phi_hi=2.0):
     """g2 map over (R, phi) for the phase-modified coherent state."""
-    t0 = time.perf_counter()
-    spec = SweepSpec(
-        axes=(Axis("R", r_lo, r_hi, grid), Axis("phi", phi_lo, phi_hi, grid)),
-        objective="phase_modified_mix",
-        fixed={"alpha": alpha, "dim": dim},
-    )
-    res = optimize.sweep(spec)
     params = {"alpha": alpha, "dim": dim, "grid": grid,
               "R_range": [r_lo, r_hi], "phi_range": [phi_lo, phi_hi]}
-    extra = {"argmin": {"R": res.argmin[0], "phi": res.argmin[1]},
-             "min_g2": res.min_g2, "n_at_min": res.n_at_min}
-    return FigureResult("fig2", ("R", "phi", "g2", "n_mean", "defined"),
-                        _grid_rows(res), _meta("fig2", params, t0, extra))
+    return _map("fig2", (Axis("R", r_lo, r_hi, grid), Axis("phi", phi_lo, phi_hi, grid)),
+                "phase_modified_mix", {"alpha": alpha, "dim": dim}, params)
 
 
 @register_figure("fig3a")
 def fig3a(alpha=0.3, chi_t=0.05, dim=16, grid=101,
           r_lo=0.01, r_hi=0.5, phi_lo=0.0, phi_hi=2.0):
     """g2 map over (R, phi) for the Kerr-evolved coherent state."""
-    t0 = time.perf_counter()
-    spec = SweepSpec(
-        axes=(Axis("R", r_lo, r_hi, grid), Axis("phi", phi_lo, phi_hi, grid)),
-        objective="kerr_mix",
-        fixed={"alpha": alpha, "chi_t": chi_t, "dim": dim},
-    )
-    res = optimize.sweep(spec)
     params = {"alpha": alpha, "chi_t": chi_t, "dim": dim, "grid": grid,
               "R_range": [r_lo, r_hi], "phi_range": [phi_lo, phi_hi]}
-    extra = {"argmin": {"R": res.argmin[0], "phi": res.argmin[1]},
-             "min_g2": res.min_g2, "n_at_min": res.n_at_min}
-    return FigureResult("fig3a", ("R", "phi", "g2", "n_mean", "defined"),
-                        _grid_rows(res), _meta("fig3a", params, t0, extra))
+    return _map("fig3a", (Axis("R", r_lo, r_hi, grid), Axis("phi", phi_lo, phi_hi, grid)),
+                "kerr_mix", {"alpha": alpha, "chi_t": chi_t, "dim": dim}, params)
 
 
 @register_figure("fig3b")
@@ -201,16 +190,9 @@ def fig3b(alpha_lo=0.05, alpha_hi=0.5, count=10, chi_t=0.05, dim=16,
     fixed = {"chi_t": chi_t, "dim": dim}
     if alpha_b is not None:
         fixed["alpha_b"] = alpha_b
-    rows = []
-    for a in np.linspace(alpha_lo, alpha_hi, count):
-        try:
-            _, g2, n_at, x = optimize.min_curve(
-                "kerr_mix", Axis("alpha", float(a), float(a), 1), inner,
-                fixed=fixed, refine=refine,
-            )[0]
-            rows.append((float(a), g2, n_at, x[0], x[1], 1))
-        except VacuumOutputError:
-            rows.append((float(a), np.nan, np.nan, np.nan, np.nan, 0))
+    curve = optimize.min_curve("kerr_mix", Axis("alpha", alpha_lo, alpha_hi, count), inner,
+                               fixed=fixed, refine=refine)
+    rows = [(a, g2, n_at, x[0], x[1], int(np.isfinite(g2))) for a, g2, n_at, x in curve]
     params = {"alpha_range": [alpha_lo, alpha_hi], "count": count, "chi_t": chi_t,
               "dim": dim, "inner_grid": inner_grid, "alpha_b": alpha_b,
               "refine": bool(refine)}
@@ -221,20 +203,17 @@ def fig3b(alpha_lo=0.05, alpha_hi=0.5, count=10, chi_t=0.05, dim=16,
 @register_figure("fig4")
 def fig4(c2_lo=0.01, c2_hi=0.5, count=50, R=0.5, phi=0.5, dim=16,
          alpha_lo=0.02, alpha_hi=2.0, inner_count=80, refine=True):
-    """Optimal g2 versus two-photon weight on a 50:50 splitter, alpha optimized."""
+    """Optimal g2 versus two-photon weight on a 50:50 splitter, alpha optimized.
+
+    input_g2 = 1/(2 c2^2) is the two-photon arm's own g2; it is NaN at
+    c2 = 0, where that arm is the vacuum.
+    """
     t0 = time.perf_counter()
     inner = (Axis("alpha", alpha_lo, alpha_hi, inner_count),)
-    fixed = {"R": R, "phi": phi, "dim": dim}
-    rows = []
-    for c2 in np.linspace(c2_lo, c2_hi, count):
-        try:
-            _, g2, n_at, x = optimize.min_curve(
-                "two_photon_mix", Axis("c2", float(c2), float(c2), 1), inner,
-                fixed=fixed, refine=refine,
-            )[0]
-            rows.append((float(c2), g2, n_at, x[0], 0.5 / (c2 * c2), 1))
-        except VacuumOutputError:
-            rows.append((float(c2), np.nan, np.nan, np.nan, 0.5 / (c2 * c2), 0))
+    curve = optimize.min_curve("two_photon_mix", Axis("c2", c2_lo, c2_hi, count), inner,
+                               fixed={"R": R, "phi": phi, "dim": dim}, refine=refine)
+    rows = [(c2, g2, n_at, x[0], 0.5 / (c2 * c2) if c2 else np.nan, int(np.isfinite(g2)))
+            for c2, g2, n_at, x in curve]
     params = {"c2_range": [c2_lo, c2_hi], "count": count, "R": R, "phi": phi,
               "dim": dim, "alpha_range": [alpha_lo, alpha_hi],
               "inner_count": inner_count, "refine": bool(refine)}
@@ -246,43 +225,26 @@ def fig4(c2_lo=0.01, c2_hi=0.5, count=50, R=0.5, phi=0.5, dim=16,
 def fig5(sch_lo=0.02, sch_hi=0.3, sch_count=57, alpha_lo=0.01, alpha_hi=0.3,
          alpha_count=59, parity=1, R=0.5, phi=0.5, dim=16):
     """g2 map over (cat amplitude, coherent amplitude) on a 50:50 splitter."""
-    t0 = time.perf_counter()
-    spec = SweepSpec(
-        axes=(Axis("alpha_sch", sch_lo, sch_hi, sch_count),
-              Axis("alpha", alpha_lo, alpha_hi, alpha_count)),
-        objective="cat_mix",
-        fixed={"parity": parity, "R": R, "phi": phi, "dim": dim},
-    )
-    res = optimize.sweep(spec)
     params = {"alpha_sch_range": [sch_lo, sch_hi], "sch_count": sch_count,
               "alpha_range": [alpha_lo, alpha_hi], "alpha_count": alpha_count,
               "parity": parity, "R": R, "phi": phi, "dim": dim}
-    extra = {"argmin": {"alpha_sch": res.argmin[0], "alpha": res.argmin[1]},
-             "min_g2": res.min_g2}
-    return FigureResult("fig5", ("alpha_sch", "alpha", "g2", "n_mean", "defined"),
-                        _grid_rows(res), _meta("fig5", params, t0, extra))
+    return _map("fig5", (Axis("alpha_sch", sch_lo, sch_hi, sch_count),
+                         Axis("alpha", alpha_lo, alpha_hi, alpha_count)),
+                "cat_mix", {"parity": parity, "R": R, "phi": phi, "dim": dim}, params)
 
 
 @register_figure("fig6")
 def fig6(r_lo=0.002, r_hi=0.018, r_count=13, alpha_lo=0.1, alpha_hi=4.0,
          alpha_count=41, T=0.9, phi=1.0, omega=0.0, dim_a=24, dim_b=None):
     """g2 map over (squeezing r, coherent alpha) at fixed high transmission."""
-    t0 = time.perf_counter()
-    fixed = {"R": 1.0 - T, "phi": phi, "omega": omega, "dim_a": dim_a, "dim_b": dim_b}
-    spec = SweepSpec(
-        axes=(Axis("r", r_lo, r_hi, r_count, spacing="geom"),
-              Axis("alpha", alpha_lo, alpha_hi, alpha_count, spacing="geom")),
-        objective="squeezed_mix",
-        fixed=fixed,
-    )
-    res = optimize.sweep(spec)
     params = {"r_range": [r_lo, r_hi], "r_count": r_count,
               "alpha_range": [alpha_lo, alpha_hi], "alpha_count": alpha_count,
               "T": T, "phi": phi, "omega": omega, "dim_a": dim_a, "dim_b": dim_b}
-    extra = {"argmin": {"r": res.argmin[0], "alpha": res.argmin[1]},
-             "min_g2": res.min_g2}
-    return FigureResult("fig6", ("r", "alpha", "g2", "n_mean", "defined"),
-                        _grid_rows(res), _meta("fig6", params, t0, extra))
+    return _map("fig6", (Axis("r", r_lo, r_hi, r_count, spacing="geom"),
+                         Axis("alpha", alpha_lo, alpha_hi, alpha_count, spacing="geom")),
+                "squeezed_mix",
+                {"R": 1.0 - T, "phi": phi, "omega": omega, "dim_a": dim_a, "dim_b": dim_b},
+                params)
 
 
 @register_figure("fig7")

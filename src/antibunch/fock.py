@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 from scipy.linalg import expm
 
@@ -198,6 +196,11 @@ def default_dim(alpha: complex) -> int:
     return max(16, math.ceil(8.0 * (1.0 + abs(alpha)) ** 2))
 
 
+def squeeze_dim(xi: complex) -> int:
+    """Smallest truncation squeeze() accepts for S(xi): ceil(20(1+|xi|))."""
+    return math.ceil(20.0 * (1.0 + abs(xi)))
+
+
 def displacement(alpha: complex, dim: int) -> np.ndarray:
     """Displacement D(alpha) = exp(alpha a^dag - conj(alpha) a).
 
@@ -223,10 +226,9 @@ def squeeze(xi: complex, dim: int) -> np.ndarray:
     r = abs(xi)
     if r > 1.5:
         raise ValueError(f"squeeze magnitude {r:.4g} outside supported range |xi| <= 1.5")
-    if dim < 20.0 * (1.0 + r):
+    if dim < squeeze_dim(xi):
         raise TruncationError(
-            f"squeeze |xi|={r:.4g} unsafe at dim={dim}",
-            recommended_dim=math.ceil(20.0 * (1.0 + r)),
+            f"squeeze |xi|={r:.4g} unsafe at dim={dim}", recommended_dim=squeeze_dim(xi)
         )
     a = annihilation(dim)
     return expm(0.5 * (np.conjugate(xi) * (a @ a) - xi * (a.conj().T @ a.conj().T)))
@@ -240,15 +242,6 @@ def lift_a(op: np.ndarray, dim_b: int) -> np.ndarray:
 def lift_b(op: np.ndarray, dim_a: int) -> np.ndarray:
     """Embed a mode-b operator into the two-mode space: I_a (x) op."""
     return np.kron(np.eye(dim_a, dtype=complex), op)
-
-
-def tensor(a, b):
-    """Kronecker product; FockVector pairs become a TwoModeState."""
-    if isinstance(a, FockVector) and isinstance(b, FockVector):
-        return TwoModeState.product(a, b)
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return np.kron(a, b)
-    raise TypeError(f"tensor of {type(a).__name__} and {type(b).__name__} unsupported")
 
 
 # ---------------------------------------------------------------------------
@@ -287,27 +280,3 @@ def partial_trace_b(state: TwoModeState) -> DensityMatrix:
     m = state.amps.reshape(state.dim_a, state.dim_b)
     rho = np.einsum("ki,kj->ij", m, m.conj())
     return DensityMatrix(rho / np.trace(rho).real)
-
-
-def converge_in_dim(
-    quantity: Callable[[int], float],
-    start_dim: int,
-    *,
-    step: int = 8,
-    rtol: float = 1e-8,
-    max_dim: int = 512,
-) -> tuple[float, int]:
-    """Increase the truncation until quantity(dim) stabilizes.
-
-    Evaluates at start_dim, start_dim+step, ... and accepts once the
-    relative change drops below rtol; returns (value, dim) at acceptance.
-    """
-    dim = start_dim
-    value = quantity(dim)
-    while dim + step <= max_dim:
-        dim += step
-        nxt = quantity(dim)
-        if abs(nxt - value) <= rtol * max(abs(nxt), 1e-300):
-            return nxt, dim
-        value = nxt
-    raise TruncationError("quantity not converged in truncation", recommended_dim=max_dim)

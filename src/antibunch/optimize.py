@@ -187,7 +187,9 @@ def min_curve(
 ) -> list[tuple[float, float, float, tuple[float, ...]]]:
     """For each scan value: coarse inner grid, then simplex refinement.
 
-    Returns (scan value, min g2, n_mean at min, inner argmin) tuples.
+    Returns (scan value, min g2, n_mean at min, inner argmin) tuples.  A scan
+    value whose inner grid is undefined on every cell gives an undefined row:
+    NaN g2, NaN n_mean and a NaN argmin.
     """
     fn = resolve_objective(objective)
     fixed = dict(fixed or {})
@@ -196,7 +198,11 @@ def min_curve(
     for s in scan.values():
         base = {scan.name: float(s), **fixed}
         spec = SweepSpec(axes=tuple(inner), objective=fn, fixed=base)
-        coarse = sweep(spec)
+        try:
+            coarse = sweep(spec)
+        except VacuumOutputError:
+            rows.append((float(s), np.nan, np.nan, (np.nan,) * len(names)))
+            continue
         best_x, best_g2 = coarse.argmin, coarse.min_g2
         if refine:
             bounds = [(ax.lo, ax.hi) for ax in inner]
@@ -208,19 +214,3 @@ def min_curve(
         n_at = fn(**dict(zip(names, best_x)), **base)[1]
         rows.append((float(s), float(best_g2), float(n_at), tuple(best_x)))
     return rows
-
-
-def sensitivity(
-    objective: Callable[[Sequence[float]], float],
-    point: Sequence[float],
-    step: float = 1e-4,
-) -> float:
-    """L2 norm of the central-difference gradient at a point."""
-    x = np.asarray(point, dtype=float)
-    grad = np.empty(x.size)
-    for i in range(x.size):
-        up, dn = x.copy(), x.copy()
-        up[i] += step
-        dn[i] -= step
-        grad[i] = (objective(up) - objective(dn)) / (2.0 * step)
-    return float(np.linalg.norm(grad))

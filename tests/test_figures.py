@@ -1,5 +1,7 @@
 """Figure dataset builders and their CSV round trip."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,11 @@ from hypothesis import strategies as st
 
 from antibunch import figures
 from antibunch.errors import VacuumOutputError
-from antibunch.optimize import Axis, SweepSpec, sweep
+from antibunch.optimize import Axis, SweepSpec, min_curve, sweep
 from antibunch.figures import (
     FIGURES,
     fig2,
+    fig3a,
     fig3b,
     fig4,
     fig5,
@@ -91,6 +94,70 @@ class TestBroadcastSweep:
         assert type(g2) is float and type(n_mean) is float
         with pytest.raises(VacuumOutputError):
             figures.cat_mix(alpha_sch=0.0, alpha=0.0)
+
+
+class TestMapMeta:
+    @pytest.mark.parametrize("build, kwargs", [
+        (fig2, {"grid": 5}),
+        (fig3a, {"grid": 5}),
+        (fig5, {"sch_count": 5, "alpha_count": 4}),
+        (fig6, {"r_count": 3, "alpha_count": 4}),
+    ])
+    def test_argmin_meta_names_the_best_row(self, build, kwargs):
+        res = build(**kwargs)
+        best = min((r for r in res.rows if r[4]), key=lambda r: r[2])
+        assert res.meta["argmin"] == dict(zip(res.columns[:2], best[:2]))
+        assert (res.meta["min_g2"], res.meta["n_at_min"]) == best[2:4]
+
+
+def per_value_curve(objective, scan_name, values, inner, fixed, refine=True):
+    """min_curve rows built one scan value at a time on a one-point axis."""
+    rows = []
+    for v in values:
+        try:
+            rows += min_curve(objective, Axis(scan_name, v, v, 1), inner,
+                              fixed=fixed, refine=refine)
+        except VacuumOutputError:
+            rows.append((v, np.nan, np.nan, (np.nan,) * len(inner)))
+    return np.array([(s, g2, n, *x) for s, g2, n, x in rows])
+
+
+class TestScanCurves:
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_fig3b_matches_per_value_scan(self, refine):
+        # alpha = 0 leaves both arms in the vacuum: an undefined first row
+        res = fig3b(alpha_lo=0.0, alpha_hi=0.2, count=3, inner_grid=5, refine=refine)
+        inner = (Axis("R", 0.01, 0.5, 5), Axis("phi", 0.0, 2.0, 5))
+        want = per_value_curve("kerr_mix", "alpha", np.linspace(0.0, 0.2, 3), inner,
+                               {"chi_t": 0.05, "dim": 16}, refine)
+        got = np.array(res.rows)
+        np.testing.assert_array_equal(got[:, :5], want)
+        assert got[:, 5].tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_fig4_matches_per_value_scan(self, refine):
+        res = fig4(c2_lo=0.05, c2_hi=0.2, count=3, inner_count=8, refine=refine)
+        want = per_value_curve("two_photon_mix", "c2", np.linspace(0.05, 0.2, 3),
+                               (Axis("alpha", 0.02, 2.0, 8),),
+                               {"R": 0.5, "phi": 0.5, "dim": 16}, refine)
+        got = np.array(res.rows)
+        np.testing.assert_array_equal(got[:, :4], want)
+        np.testing.assert_array_equal(got[:, 4], 0.5 / want[:, 0] ** 2)
+        assert got[:, 5].tolist() == [1, 1, 1]
+
+    def test_fig4_vacuum_input_g2_is_undefined(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = fig4(c2_lo=0.0, c2_hi=0.1, count=2, inner_count=5)
+        c2, min_g2, _, _, input_g2, defined = res.rows[0]
+        assert c2 == 0.0 and np.isnan(input_g2)
+        # coherent light alone, up to its truncation at dim 16
+        assert defined == 1 and min_g2 == pytest.approx(1.0, abs=1e-3)
+        assert res.rows[1][4] == pytest.approx(50.0)
+
+    def test_reversed_scan_range_is_refused(self):
+        with pytest.raises(ValueError, match="axis c2"):
+            fig4(c2_lo=0.2, c2_hi=0.1, count=2)
 
 
 class TestPhaseModifiedMap:

@@ -150,6 +150,14 @@ class TestGaussianUnitaries:
         with pytest.raises(TruncationError):
             fock.squeeze(0.5, 16)
 
+    @pytest.mark.parametrize("xi", [0.0, 0.05, 0.3j, 0.5 - 0.2j, 1.5])
+    def test_squeeze_dim_is_the_guard(self, xi):
+        dim = fock.squeeze_dim(xi)
+        fock.squeeze(xi, dim)
+        with pytest.raises(TruncationError) as err:
+            fock.squeeze(xi, dim - 1)
+        assert err.value.recommended_dim == dim
+
     def test_default_dim(self):
         assert fock.default_dim(0.0) == 16
         assert fock.default_dim(1.0) == 32
@@ -160,12 +168,6 @@ class TestTensorAndExpectation:
         op = fock.annihilation(3)
         assert fock.lift_a(op, 4).shape == (12, 12)
         assert fock.lift_b(op, 4).shape == (12, 12)
-
-    def test_tensor_dispatch(self):
-        assert isinstance(fock.tensor(fock.basis(2, 0), fock.basis(2, 1)), TwoModeState)
-        assert fock.tensor(np.eye(2), np.eye(3)).shape == (6, 6)
-        with pytest.raises(TypeError):
-            fock.tensor(fock.basis(2, 0), np.eye(2))
 
     def test_expectation_paths(self):
         psi = fock.basis(4, 2)
@@ -193,17 +195,3 @@ class TestTensorAndExpectation:
         purity = np.trace(rho_a.mat @ rho_a.mat).real
         assert purity == pytest.approx(0.5, abs=1e-12)
 
-
-class TestConvergeInDim:
-    def test_converges(self):
-        from antibunch import states
-
-        value, dim = fock.converge_in_dim(
-            lambda d: states.coherent(0.5, d).mean_n(), 8
-        )
-        assert value == pytest.approx(0.25, rel=1e-6)
-        assert dim >= 16
-
-    def test_raises_when_never_stable(self):
-        with pytest.raises(TruncationError):
-            fock.converge_in_dim(lambda d: float(d), 8, max_dim=64)

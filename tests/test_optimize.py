@@ -11,7 +11,6 @@ from antibunch.optimize import (
     min_curve,
     refine_min,
     resolve_objective,
-    sensitivity,
     sweep,
 )
 
@@ -19,6 +18,18 @@ from antibunch.optimize import (
 def bowl(x=0.0, y=0.0, offset=0.0):
     g2 = (x - 0.3) ** 2 + (y - 0.7) ** 2 + offset
     return g2, x + y
+
+
+def sensitivity(objective, point, step=1e-4) -> float:
+    """L2 norm of the central-difference gradient at a point."""
+    x = np.asarray(point, dtype=float)
+    grad = np.empty(x.size)
+    for i in range(x.size):
+        up, dn = x.copy(), x.copy()
+        up[i] += step
+        dn[i] -= step
+        grad[i] = (objective(up) - objective(dn)) / (2.0 * step)
+    return float(np.linalg.norm(grad))
 
 
 class TestAxis:
@@ -185,6 +196,23 @@ class TestMinCurve:
         coarse = min_curve(fn, Axis("s", 0.0, 0.0, 1), [Axis("x", 0.0, 1.0, 5)], refine=False)
         fine = min_curve(fn, Axis("s", 0.0, 0.0, 1), [Axis("x", 0.0, 1.0, 5)], refine=True)
         assert fine[0][1] <= coarse[0][1]
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_dark_scan_value_gives_undefined_row(self, refine):
+        def fn(s=0.0, x=0.0, y=0.0):
+            if s == 0.0:
+                raise VacuumOutputError("dark")
+            return (x - s) ** 2 + y, s
+
+        inner = [Axis("x", 0.0, 1.0, 5), Axis("y", 0.0, 1.0, 3)]
+        rows = min_curve(fn, Axis("s", 0.0, 1.0, 3), inner, refine=refine)
+        s, g2, n_at, argmin = rows[0]
+        assert s == 0.0 and np.isnan(g2) and np.isnan(n_at)
+        assert len(argmin) == 2 and np.isnan(argmin).all()
+        for s, g2, n_at, argmin in rows[1:]:
+            assert g2 == pytest.approx(0.0, abs=1e-8)
+            assert n_at == s
+            assert argmin == pytest.approx((s, 0.0), abs=1e-4)
 
 
 class TestSensitivity:

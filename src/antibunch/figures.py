@@ -144,6 +144,16 @@ for _name, _fn in (
 
 # ------------------------------------------------------------------ builders
 
+def _on_bound(curve: list, inner: tuple[Axis, ...]) -> list[float]:
+    """Scan values whose inner argmin sits on a search bound.
+
+    Within refine_min's xatol (1e-5).  Such an optimum is set by the
+    search range (or by the truncation it reaches), not by interference.
+    """
+    return [s for s, _, _, x in curve
+            if any(min(abs(v - ax.lo), abs(v - ax.hi)) <= 1e-5 for v, ax in zip(x, inner))]
+
+
 def _map(name: str, axes: tuple[Axis, Axis], objective: str, fixed: dict,
          params: dict) -> FigureResult:
     """One row per cell of the sweep over axes; meta carries the argmin."""
@@ -197,7 +207,7 @@ def fig3b(alpha_lo=0.05, alpha_hi=0.5, count=10, chi_t=0.05, dim=16,
               "dim": dim, "inner_grid": inner_grid, "alpha_b": alpha_b,
               "refine": bool(refine)}
     return FigureResult("fig3b", ("alpha", "min_g2", "n_mean", "R_opt", "phi_opt", "defined"),
-                        rows, _meta("fig3b", params, t0))
+                        rows, _meta("fig3b", params, t0, {"on_bound": _on_bound(curve, inner)}))
 
 
 @register_figure("fig4")
@@ -218,7 +228,7 @@ def fig4(c2_lo=0.01, c2_hi=0.5, count=50, R=0.5, phi=0.5, dim=16,
               "dim": dim, "alpha_range": [alpha_lo, alpha_hi],
               "inner_count": inner_count, "refine": bool(refine)}
     return FigureResult("fig4", ("c2", "min_g2", "n_mean", "alpha_opt", "input_g2", "defined"),
-                        rows, _meta("fig4", params, t0))
+                        rows, _meta("fig4", params, t0, {"on_bound": _on_bound(curve, inner)}))
 
 
 @register_figure("fig5")

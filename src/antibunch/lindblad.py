@@ -24,8 +24,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import expm_multiply, gmres, splu
+from scipy.sparse.linalg import LinearOperator, expm_multiply, gmres, splu
 
 from . import optimize
 from .errors import (
@@ -92,28 +91,40 @@ def build_coupled_cavities(
     return CavityModel(hamiltonian=h, collapse_ops=(a, b), monitored=a, dims=(dim_a, dim_b))
 
 
+def _drift(model: CavityModel) -> np.ndarray:
+    """A = -iH - 1/2 sum c+c, so that L(rho) = A rho + rho A+ + sum c rho c+."""
+    a = -1j * model.hamiltonian
+    for c in model.collapse_ops:
+        a = a - 0.5 * (c.conj().T @ c)
+    return a
+
+
 def liouvillian(model: CavityModel) -> sp.csr_matrix:
-    """Sparse superoperator on row-major vec(rho): vec(A rho B) = (A kron B^T) vec."""
-    h = sp.csr_matrix(model.hamiltonian)
-    n = model.hilbert_dim
-    ident = sp.identity(n, format="csr", dtype=complex)
-    lio = -1j * (sp.kron(h, ident) - sp.kron(ident, h.T))
+    """Sparse superoperator on row-major vec(rho): vec(A rho B) = (A kron B^T) vec.
+
+    L = A kron 1 + 1 kron conj(A) + sum c kron conj(c), with A = _drift(model).
+    """
+    a = sp.csr_matrix(_drift(model))
+    ident = sp.identity(model.hilbert_dim, format="csr", dtype=complex)
+    lio = sp.kron(a, ident) + sp.kron(ident, a.conj())
     for c in model.collapse_ops:
         cs = sp.csr_matrix(c)
-        cdc = cs.conj().T @ cs
-        lio = lio + sp.kron(cs, cs.conj()) - 0.5 * (sp.kron(cdc, ident) + sp.kron(ident, cdc.T))
+        lio = lio + sp.kron(cs, cs.conj())
     return lio.tocsr()
 
 
-# Above this many unknowns the full direct LU gets slow and its fill-in
-# exhausts memory well before 200k unknowns.  Larger systems are first tried
-# on excitation-graded subspaces (states with total Fock number <= K, K grown
-# until low-order moments converge): each restricted solve is a small exact
-# LU, so weakly excited steady states keep direct-solve accuracy at any
-# cutoff.  Only when that ladder outgrows _GRADED_SOLVE_LIMIT (strongly
-# excited states) does the kernel fall back to time marching plus a Krylov
-# polish, which only needs matvecs but certifies the state in norm rather
-# than component-wise.
+# Up to this many unknowns the whole space is solved at once: single-mode
+# models by the sparse LU, multi-mode models by the operator-form GMRES,
+# which never forms the superoperator and beats the LU's fill-in there
+# (coupled (8, 8): ~14 ms against ~650 ms).  Strongly driven single modes
+# stay on the LU, which their banded Liouvillian factors in 5-12 ms where
+# the operator kernel needs 12-80 ms (dims 12-24, F >= 0.6).  Larger
+# systems are first tried on excitation-graded subspaces (states with total
+# Fock number <= K, K grown until low-order moments converge): each
+# restricted solve is a small exact LU, and g2_tau steps on the same small
+# basis.  When that ladder outgrows _GRADED_SOLVE_LIMIT (strongly excited
+# states) or its state fails the residual gate, the operator kernel solves
+# the full space.
 _DIRECT_SOLVE_LIMIT = 10000
 _GRADED_SOLVE_LIMIT = 30000
 _GRADED_MOMENT_TOL = 5e-7
@@ -178,38 +189,59 @@ def _kernel_graded(
     return None
 
 
-def _kernel_evolve(lio: sp.spmatrix, n: int) -> np.ndarray:
-    # March exp(L t) from the vacuum projector until transients are small,
-    # then polish with plain GMRES on the residual: by that point the error
-    # spans a handful of slow modes, which a Krylov space captures at once.
-    # Explicit stepping + matvecs are all we can afford at this size.
-    csr = lio.tocsr()
-    v = np.zeros(n * n, dtype=complex)
-    v[0] = 1.0
-    for _ in range(16):
-        sol = solve_ivp(
-            lambda _t, y: csr @ y,
-            (0.0, 10.0),
-            v,
-            method="RK45",
-            rtol=1e-10,
-            atol=1e-14,
-            t_eval=(10.0,),
-        )
-        if not sol.success:
-            raise SteadyStateError(f"Liouvillian time marching failed: {sol.message}")
-        v = sol.y[:, -1]
-        v = v / np.real(v[:: n + 1].sum())
-        if np.max(np.abs(csr @ v)) < 1e-7:
-            dx, info = gmres(
-                csr, -(csr @ v), rtol=1e-8, atol=0.0, restart=200, maxiter=5
+def _kernel_operator(model: CavityModel) -> np.ndarray:
+    # Matrix-free GMRES on L(X) + w Tr(X) E00 = w E00, the same trace bump as
+    # the direct kernel, in operator form L(X) = A X + X A+ + sum c X c+.  It
+    # is right-preconditioned by the Sylvester part S(X) = A X + X A+, which
+    # A's eigenbasis diagonalizes: S^-1(Y) = V [(V^-1 Y V^-+)_ij /
+    # (lam_i + conj(lam_j))] V+.  Every step is a few n x n products; the
+    # n^2 x n^2 superoperator is never built.  One refinement round on the
+    # true residual is needed at weak drive, where <a+^2 a^2> ~ 1e-17: the
+    # first round alone stops at residual ~2e-12, inside the 1e-10 gate,
+    # with g2 2.5 % off on coupled (8, 8) at F = 0.04 (2x off at the dip).
+    n = model.hilbert_dim
+    a = _drift(model)
+    a_h = a.conj().T
+    jumps = [(c, c.conj().T) for c in model.collapse_ops]
+    lam, v = np.linalg.eig(a)
+    v_inv = np.linalg.inv(v)
+    v_inv_h, v_h = v_inv.conj().T, v.conj().T
+    denom = lam[:, None] + lam.conj()[None, :]
+    diag = np.diagonal(a)[:, None] + np.diagonal(a).conj()[None, :]
+    for c, _ in jumps:
+        diag = diag + np.outer(np.diagonal(c), np.diagonal(c).conj())
+    weight = float(np.mean(np.abs(diag)))  # mean |diag L|, as in _kernel_direct
+
+    def bumped(x: np.ndarray) -> np.ndarray:
+        x = x.reshape(n, n)
+        y = a @ x + x @ a_h
+        for c, c_h in jumps:
+            y += c @ x @ c_h
+        y[0, 0] += weight * np.trace(x)
+        return y.reshape(-1)
+
+    def sylvester_inverse(y: np.ndarray) -> np.ndarray:
+        return (v @ ((v_inv @ y.reshape(n, n) @ v_inv_h) / denom) @ v_h).reshape(-1)
+
+    op = LinearOperator(
+        (n * n, n * n), matvec=lambda y: bumped(sylvester_inverse(y)), dtype=complex
+    )
+    rhs = np.zeros(n * n, dtype=complex)
+    rhs[0] = weight
+    x = np.zeros(n * n, dtype=complex)
+    # The refinement asks only for a relative gain its residual can still
+    # make; 1e-12 of a residual already near 1e-17 stagnates for hundreds of
+    # iterations.
+    for rtol in (1e-12, 1e-6):
+        y, info = gmres(op, rhs - bumped(x), rtol=rtol, atol=0.0, restart=20, maxiter=50)
+        x = x + sylvester_inverse(y)
+        if info != 0:
+            residual = np.linalg.norm(rhs - bumped(x)) / weight
+            raise SteadyStateError(
+                f"operator kernel: GMRES info {info} at rtol {rtol:g}, "
+                f"relative residual {residual:.3e}"
             )
-            if info == 0:
-                v = v + dx
-                v = v / np.real(v[:: n + 1].sum())
-                if np.max(np.abs(csr @ v)) < 5e-11:
-                    return v
-    raise SteadyStateError("Liouvillian time marching did not reach stationarity")
+    return x
 
 
 def _solve_steady(
@@ -229,20 +261,20 @@ def _solve_steady(
         if graded is None:
             raise SteadyStateError("graded kernel ladder did not converge")
         x, keep = graded
-    elif method == "march":
-        x = _kernel_evolve(lio, n)
+    elif method == "operator":
+        x = _kernel_operator(model)
     elif method == "auto":
         if n * n <= _DIRECT_SOLVE_LIMIT:
-            x = _kernel_direct(lio, n)
+            x = _kernel_direct(lio, n) if len(model.dims) == 1 else _kernel_operator(model)
         else:
             graded = _kernel_graded(model, lio)
             # The ladder stops on moment drift, not on the residual: a state
-            # that fails the gate falls through to marching, as a ladder that
-            # outgrows _GRADED_SOLVE_LIMIT does.
+            # that fails the gate falls through to the operator kernel, as a
+            # ladder that outgrows _GRADED_SOLVE_LIMIT does.
             if graded is not None and _residual(lio, _normalized(graded[0], n)) <= 1e-10:
                 x, keep = graded
             else:
-                x = _kernel_evolve(lio, n)
+                x = _kernel_operator(model)
     else:
         raise ValueError(f"unknown steady-state method {method!r}")
     rho = _normalized(x, n)
@@ -265,12 +297,15 @@ def _residual(lio: sp.spmatrix, rho: np.ndarray) -> float:
 def steady_state(model: CavityModel, *, method: str = "auto") -> DensityMatrix:
     """Kernel of L, trace-normalized.
 
-    method="auto" picks a full direct solve for small systems and the
-    excitation-graded direct solve (with internal moment-convergence
-    control) for larger ones, falling back to time marching when the graded
-    ladder cannot converge affordably or its state fails the residual gate.
-    The individual methods ("direct", "graded", "march") can be forced for
-    cross-checks; "direct" on a large system is the caller's own memory risk.
+    method="auto" solves systems of up to _DIRECT_SOLVE_LIMIT unknowns
+    whole: by the sparse LU for a single mode, by the operator-form GMRES
+    for several.  Larger systems go to the excitation-graded direct solve
+    (with internal moment-convergence control), falling back to the
+    operator kernel when the graded ladder cannot converge affordably or its
+    state fails the residual gate.  The individual methods ("direct",
+    "graded", "operator") can be forced for cross-checks; "direct" on a
+    large system is the caller's own memory risk.  Every kernel's state must
+    pass the same gate, max |L rho| <= 1e-10.
     """
     rho, _, _ = _solve_steady(model, method)
     return DensityMatrix(rho)
@@ -398,8 +433,8 @@ def tune_for_antibunching(
     single:  (F, Delta, beta) with the measurement displaced by beta;
     coupled: (F, Delta), bare monitored mode.
     Parameter search runs at tune_dims (defaults: final dims for single,
-    (8, 8) for coupled, whose steady-state solves are much costlier) and the
-    reported g2 is re-evaluated at dims.  Returns the parameter set, the
+    (8, 8) for coupled, kept because fig7's tuned point depends on it) and
+    the reported g2 is re-evaluated at dims.  Returns the parameter set, the
     achieved g2(0), and the mix dict to pass to g2_tau.
     """
     if model_family not in ("single", "coupled"):

@@ -155,6 +155,15 @@ class TestScanCurves:
         assert defined == 1 and min_g2 == pytest.approx(1.0, abs=1e-3)
         assert res.rows[1][4] == pytest.approx(50.0)
 
+    def test_optimum_on_the_search_bound_is_flagged(self):
+        # at c2 = 0 the alpha search runs to alpha_hi = 2.0, where the sub-1
+        # g2 is dim-16 truncation; c2 = 0.1 has an interior optimum
+        res = fig4(c2_lo=0.0, c2_hi=0.1, count=2, inner_count=5)
+        assert res.rows[0][3] == pytest.approx(2.0, abs=1e-5)
+        assert res.meta["on_bound"] == [0.0]
+        # the undefined alpha = 0 row has no argmin to flag
+        assert fig3b(alpha_lo=0.0, alpha_hi=0.2, count=3, inner_grid=5).meta["on_bound"] == []
+
     def test_reversed_scan_range_is_refused(self):
         with pytest.raises(ValueError, match="axis c2"):
             fig4(c2_lo=0.2, c2_hi=0.1, count=2)

@@ -27,6 +27,10 @@ from antibunch.lindblad import (
 )
 
 
+# U at the unconventional-blockade optimum for J = 6.2 (decay rate 1)
+U_OPT = 2.0 / (3.0 * np.sqrt(3.0) * 6.2**2)
+
+
 def linear_cavity_amplitude(F, Delta):
     # steady state of the undriven-nonlinearity cavity is the coherent state
     # <a> = -i F / (1/2 + i Delta)  (decay rate 1)
@@ -124,21 +128,52 @@ class TestSteadyState:
 
     def test_methods_agree_on_coupled_model(self):
         # weakly excited coupled cavities: the graded ladder must reproduce
-        # the full direct solve, and time marching the same physics to the
-        # tolerance its integrator can certify
+        # the full direct solve, and so must the operator kernel up to the
+        # direct solve's own double-precision floor on this observable
+        # (n_ss ~ 3.6e-7: rescaling the LU's trace bump by 0.1-10 moves its
+        # g2 by up to 3.6e-7)
         model = build_coupled_cavities(
             0.01, 6.2, 0.04, 1.0 / (2.0 * np.sqrt(3.0)), (8, 8)
         )
         g2_direct = static_g2(model, rho_ss=steady_state(model, method="direct").mat)
         g2_graded = static_g2(model, rho_ss=steady_state(model, method="graded").mat)
-        g2_march = static_g2(model, rho_ss=steady_state(model, method="march").mat)
+        g2_operator = static_g2(model, rho_ss=steady_state(model, method="operator").mat)
         assert g2_graded == pytest.approx(g2_direct, rel=1e-8)
-        assert g2_march == pytest.approx(g2_direct, rel=1e-4)
+        assert g2_operator == pytest.approx(g2_direct, rel=1e-6)
 
-    def test_auto_marches_when_the_ladder_state_fails_the_gate(self):
+    @pytest.mark.parametrize("F", [0.04, 0.2, 0.5])
+    @pytest.mark.parametrize("U, J", [(U_OPT, 6.2), (0.3, 1.0)], ids=["U_opt-J6.2", "U0.3-J1"])
+    @pytest.mark.parametrize("dims", [(6, 6), (8, 8)], ids=["6x6", "8x8"])
+    def test_operator_kernel_matches_direct(self, dims, U, J, F):
+        # Off the dip bottom: at the tuned point (Delta = 0.2852, g2 ~ 3.6e-6)
+        # the direct LU's own g2 is up to 5e-6 relative off an
+        # extended-precision refinement of it.
+        model = build_coupled_cavities(U, J, F, 1.0 / (2.0 * np.sqrt(3.0)), dims)
+        rho_op, lio, _ = lindblad._solve_steady(model, "operator")
+        rho_direct = steady_state(model, method="direct").mat
+        assert lindblad._residual(lio, rho_op) <= 1e-10
+        assert static_g2(model, rho_ss=rho_op) == pytest.approx(
+            static_g2(model, rho_ss=rho_direct), rel=1e-6
+        )
+
+    def test_auto_picks_lu_for_one_mode_and_operator_for_several(self):
+        single = build_single_kerr(0.3, 0.6, 0.1, 12)
+        coupled = build_coupled_cavities(U_OPT, 6.2, 0.04, 0.2852, (6, 6))
+        for model, forced in ((single, "direct"), (coupled, "operator")):
+            auto = steady_state(model).mat
+            assert np.array_equal(auto, steady_state(model, method=forced).mat)
+
+    def test_operator_kernel_failure_names_kernel_info_and_residual(self, monkeypatch):
+        monkeypatch.setattr(lindblad, "gmres", lambda op, b, **kw: (np.zeros_like(b), 7))
+        model = build_coupled_cavities(0.01, 6.2, 0.04, 0.2, (6, 6))
+        with pytest.raises(SteadyStateError, match=r"operator kernel: GMRES info 7 .*residual"):
+            steady_state(model)
+
+    def test_auto_falls_back_when_the_ladder_state_fails_the_gate(self):
         # Strong drive: the graded ladder meets its moment tolerance with a
         # state whose residual is 5.6e-9, above the 1e-10 gate.  Forced, the
-        # graded kernel still refuses it; auto falls through to marching.
+        # graded kernel still refuses it; auto falls through to the operator
+        # kernel.
         model = build_coupled_cavities(0.3, 1.0, 0.2, 0.0, (11, 10))
         with pytest.raises(SteadyStateError, match="residual"):
             steady_state(model, method="graded")
@@ -219,9 +254,7 @@ class TestG2Tau:
     # an integrator would put on rho, so these references are exponentials.
     @staticmethod
     def _blockade_model(dims):
-        J = 6.2
-        U = 2.0 / (3.0 * np.sqrt(3.0) * J**2)
-        return build_coupled_cavities(U, J, 0.04, 0.2852, dims)
+        return build_coupled_cavities(U_OPT, 6.2, 0.04, 0.2852, dims)
 
     @staticmethod
     def _seed_and_readout(model, rho_ss):

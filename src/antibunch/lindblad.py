@@ -116,25 +116,33 @@ def liouvillian(model: CavityModel) -> sp.csr_matrix:
 # Up to this many unknowns the whole space is solved at once: single-mode
 # models by the sparse LU, multi-mode models by the operator-form GMRES,
 # which never forms the superoperator and beats the LU's fill-in there
-# (coupled (8, 8): ~14 ms against ~650 ms).  Strongly driven single modes
-# stay on the LU, which their banded Liouvillian factors in 5-12 ms where
-# the operator kernel needs 12-80 ms (dims 12-24, F >= 0.6).  Larger
-# systems are first tried on excitation-graded subspaces (states with total
-# Fock number <= K, K grown until low-order moments converge): each
-# restricted solve is a small exact LU, and g2_tau steps on the same small
-# basis.  When that ladder outgrows _GRADED_SOLVE_LIMIT (strongly excited
-# states) or its state fails the residual gate, the operator kernel solves
-# the full space.
-_DIRECT_SOLVE_LIMIT = 10000
+# (coupled (8, 8): ~14 ms against ~650 ms).  Single modes stay on the LU,
+# which factors their banded Liouvillian faster at weak and strong drive
+# alike: over the 804 dim-12 solves of the cavity benchmark's refine job
+# (F 0.02-1, median 0.15) a whole solve takes 3.0-3.6 ms median by LU and
+# 4.4-5.2 ms by the operator kernel; at F >= 0.6, dims 12-24, 5-12 ms
+# against 12-80 ms.  Larger systems are first tried on excitation-graded
+# subspaces (states with total Fock number <= K, K grown until low-order
+# moments converge): each restricted solve is a small exact LU, and g2_tau
+# steps on the same small basis.  When that ladder outgrows
+# _GRADED_SOLVE_LIMIT (strongly excited states) or its state fails the
+# residual gate, the operator kernel solves the full space.
+_FULL_SPACE_LIMIT = 10000
 _GRADED_SOLVE_LIMIT = 30000
 _GRADED_MOMENT_TOL = 5e-7
+
+
+def _bump_weight(lio: sp.spmatrix) -> float:
+    # Scale of the trace bump weight * |e_0><trace| that both full-space
+    # kernels add to L: mean |diag L|, so the bump is as stiff as L itself.
+    return float(np.mean(np.abs(lio.diagonal())))
 
 
 def _kernel_direct(lio: sp.spmatrix, n: int) -> np.ndarray:
     nn = n * n
     # Add weight * |e_0><trace| so the kernel vector becomes the unique
     # solution of a regular system (the standard direct method).
-    weight = float(np.mean(np.abs(lio.diagonal())))
+    weight = _bump_weight(lio)
     diag_positions = np.arange(0, nn, n + 1)
     bump = sp.csr_matrix(
         (np.full(n, weight), (np.zeros(n, dtype=int), diag_positions)), shape=(nn, nn)
@@ -189,16 +197,17 @@ def _kernel_graded(
     return None
 
 
-def _kernel_operator(model: CavityModel) -> np.ndarray:
-    # Matrix-free GMRES on L(X) + w Tr(X) E00 = w E00, the same trace bump as
-    # the direct kernel, in operator form L(X) = A X + X A+ + sum c X c+.  It
-    # is right-preconditioned by the Sylvester part S(X) = A X + X A+, which
-    # A's eigenbasis diagonalizes: S^-1(Y) = V [(V^-1 Y V^-+)_ij /
-    # (lam_i + conj(lam_j))] V+.  Every step is a few n x n products; the
-    # n^2 x n^2 superoperator is never built.  One refinement round on the
-    # true residual is needed at weak drive, where <a+^2 a^2> ~ 1e-17: the
-    # first round alone stops at residual ~2e-12, inside the 1e-10 gate,
-    # with g2 2.5 % off on coupled (8, 8) at F = 0.04 (2x off at the dip).
+def _kernel_operator(model: CavityModel, weight: float) -> np.ndarray:
+    # Matrix-free GMRES on L(X) + w Tr(X) E00 = w E00, the direct kernel's
+    # trace bump (w = _bump_weight of the sparse L), in operator form
+    # L(X) = A X + X A+ + sum c X c+.  It is right-preconditioned by the
+    # Sylvester part S(X) = A X + X A+, which A's eigenbasis diagonalizes:
+    # S^-1(Y) = V [(V^-1 Y V^-+)_ij / (lam_i + conj(lam_j))] V+.  Every step
+    # is a few n x n products; the n^2 x n^2 superoperator is never built.
+    # One refinement round on the true residual is needed at weak drive,
+    # where <a+^2 a^2> ~ 1e-17: the first round alone stops at residual
+    # ~2e-12, inside the 1e-10 gate, with g2 2.5 % off on coupled (8, 8) at
+    # F = 0.04 (2x off at the dip).
     n = model.hilbert_dim
     a = _drift(model)
     a_h = a.conj().T
@@ -207,10 +216,6 @@ def _kernel_operator(model: CavityModel) -> np.ndarray:
     v_inv = np.linalg.inv(v)
     v_inv_h, v_h = v_inv.conj().T, v.conj().T
     denom = lam[:, None] + lam.conj()[None, :]
-    diag = np.diagonal(a)[:, None] + np.diagonal(a).conj()[None, :]
-    for c, _ in jumps:
-        diag = diag + np.outer(np.diagonal(c), np.diagonal(c).conj())
-    weight = float(np.mean(np.abs(diag)))  # mean |diag L|, as in _kernel_direct
 
     def bumped(x: np.ndarray) -> np.ndarray:
         x = x.reshape(n, n)
@@ -262,10 +267,13 @@ def _solve_steady(
             raise SteadyStateError("graded kernel ladder did not converge")
         x, keep = graded
     elif method == "operator":
-        x = _kernel_operator(model)
+        x = _kernel_operator(model, _bump_weight(lio))
     elif method == "auto":
-        if n * n <= _DIRECT_SOLVE_LIMIT:
-            x = _kernel_direct(lio, n) if len(model.dims) == 1 else _kernel_operator(model)
+        if n * n <= _FULL_SPACE_LIMIT:
+            if len(model.dims) == 1:
+                x = _kernel_direct(lio, n)
+            else:
+                x = _kernel_operator(model, _bump_weight(lio))
         else:
             graded = _kernel_graded(model, lio)
             # The ladder stops on moment drift, not on the residual: a state
@@ -274,7 +282,7 @@ def _solve_steady(
             if graded is not None and _residual(lio, _normalized(graded[0], n)) <= 1e-10:
                 x, keep = graded
             else:
-                x = _kernel_operator(model)
+                x = _kernel_operator(model, _bump_weight(lio))
     else:
         raise ValueError(f"unknown steady-state method {method!r}")
     rho = _normalized(x, n)
@@ -297,7 +305,7 @@ def _residual(lio: sp.spmatrix, rho: np.ndarray) -> float:
 def steady_state(model: CavityModel, *, method: str = "auto") -> DensityMatrix:
     """Kernel of L, trace-normalized.
 
-    method="auto" solves systems of up to _DIRECT_SOLVE_LIMIT unknowns
+    method="auto" solves systems of up to _FULL_SPACE_LIMIT unknowns
     whole: by the sparse LU for a single mode, by the operator-form GMRES
     for several.  Larger systems go to the excitation-graded direct solve
     (with internal moment-convergence control), falling back to the

@@ -278,7 +278,7 @@ class TestG2Tau:
 
     def test_ladder_curve_matches_full_space_propagation(self):
         model = self._blockade_model((11, 10))
-        assert model.hilbert_dim**2 > lindblad._DIRECT_SOLVE_LIMIT  # graded kernel
+        assert model.hilbert_dim**2 > lindblad._FULL_SPACE_LIMIT  # graded kernel
         tau = np.linspace(0.0, 3.0, 7)
         y, readout = self._seed_and_readout(model, steady_state(model).mat)
         states = expm_multiply(

@@ -9,10 +9,13 @@ field equal those of the displaced mode up to a scale that cancels in g2.
 g2(tau) uses the quantum regression theorem: seed rho1 = d rho_ss d+ /
 Tr(d rho_ss d+), evolve tau under the Liouvillian, read Tr(d+ d rho1(tau));
 with that seed normalization g2(tau) = Tr(d+ d rho1(tau)) / Tr(d+ d rho_ss).
-The seed evolves on the basis states the steady-state kernel solved on (the
-excitation ladder for weakly driven systems, else the full space) by exact
-exponential steps, one per tau interval, so the curve relaxes to exactly the
-steady state the kernel returned.
+The seed evolves by exact exponential steps, one per tau interval, on the
+steady state's excitation ladder: the states of total Fock number <= K, with
+K chosen from the returned steady state so that its population above K is
+negligible against the measured intensity.
+
+Steady states come from one of two kernels: the sparse LU for small
+single-mode models, the operator-form GMRES for everything else.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -113,36 +116,48 @@ def liouvillian(model: CavityModel) -> sp.csr_matrix:
     return lio.tocsr()
 
 
-# Up to this many unknowns the whole space is solved at once: single-mode
-# models by the sparse LU, multi-mode models by the operator-form GMRES,
-# which never forms the superoperator and beats the LU's fill-in there
-# (coupled (8, 8): ~14 ms against ~650 ms).  Single modes stay on the LU,
-# which factors their banded Liouvillian faster at weak and strong drive
-# alike: over the 804 dim-12 solves of the cavity benchmark's refine job
-# (F 0.02-1, median 0.15) a whole solve takes 3.0-3.6 ms median by LU and
-# 4.4-5.2 ms by the operator kernel; at F >= 0.6, dims 12-24, 5-12 ms
-# against 12-80 ms.  Larger systems are first tried on excitation-graded
-# subspaces (states with total Fock number <= K, K grown until low-order
-# moments converge): each restricted solve is a small exact LU, and g2_tau
-# steps on the same small basis.  When that ladder outgrows
-# _GRADED_SOLVE_LIMIT (strongly excited states) or its state fails the
-# residual gate, the operator kernel solves the full space.
+# A single-mode model of up to this many unknowns is solved by the sparse
+# LU, which factors its banded Liouvillian faster than the operator-form
+# GMRES at weak and strong drive alike: over the 804 dim-12 solves of the
+# cavity benchmark's refine job (F 0.02-1, median 0.15) a whole solve takes
+# 3.0-3.6 ms median by LU and 4.4-5.2 ms by the operator kernel; at
+# F >= 0.6, dims 12-24, 5-12 ms against 12-80 ms.  Every other model goes to
+# the operator kernel, which never forms the superoperator and beats the
+# LU's fill-in with two modes (coupled (8, 8): ~14 ms against ~650 ms).
 _FULL_SPACE_LIMIT = 10000
-_GRADED_SOLVE_LIMIT = 30000
-_GRADED_MOMENT_TOL = 5e-7
 
 
-def _bump_weight(lio: sp.spmatrix) -> float:
-    # Scale of the trace bump weight * |e_0><trace| that both full-space
-    # kernels add to L: mean |diag L|, so the bump is as stiff as L itself.
-    return float(np.mean(np.abs(lio.diagonal())))
+def _lindblad_map(model: CavityModel) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """A = _drift(model) and X -> L(X) = A X + X A+ + sum c X c+ on n x n matrices."""
+    a = _drift(model)
+    a_h = a.conj().T
+    jumps = [(c, c.conj().T) for c in model.collapse_ops]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        y = a @ x + x @ a_h
+        for c, c_h in jumps:
+            y += c @ x @ c_h
+        return y
+
+    return a, apply
 
 
-def _kernel_direct(lio: sp.spmatrix, n: int) -> np.ndarray:
+def _bump_weight(model: CavityModel) -> float:
+    # Scale of the trace bump weight * |e_0><trace| that both kernels add to
+    # L: mean |diag L|, so the bump is as stiff as L itself.  On row-major
+    # vec(rho), diag L at (i, j) is A_ii + conj(A_jj) + sum c_ii conj(c_jj).
+    a = np.diag(_drift(model))
+    diag = a[:, None] + a.conj()[None, :]
+    for c in model.collapse_ops:
+        c_diag = np.diag(c)
+        diag = diag + c_diag[:, None] * c_diag.conj()[None, :]
+    return float(np.mean(np.abs(diag)))
+
+
+def _kernel_direct(lio: sp.spmatrix, n: int, weight: float) -> np.ndarray:
     nn = n * n
     # Add weight * |e_0><trace| so the kernel vector becomes the unique
     # solution of a regular system (the standard direct method).
-    weight = _bump_weight(lio)
     diag_positions = np.arange(0, nn, n + 1)
     bump = sp.csr_matrix(
         (np.full(n, weight), (np.zeros(n, dtype=int), diag_positions)), shape=(nn, nn)
@@ -156,52 +171,11 @@ def _kernel_direct(lio: sp.spmatrix, n: int) -> np.ndarray:
         raise SteadyStateError(f"Liouvillian solve failed: {exc}") from exc
 
 
-def _kernel_graded(
-    model: CavityModel, lio: sp.spmatrix
-) -> tuple[np.ndarray, np.ndarray] | None:
-    # Restrict the bumped solve to product states with total excitation <= K
-    # and grow K until each mode's occupation and second factorial moment
-    # stop moving.  Truncation error shrinks geometrically with K for weakly
-    # driven states, so the converged answer carries full direct-LU accuracy.
-    # Returns the full-space vector and the kept basis states, or None when
-    # the ladder outgrows the affordable solve size.
-    n = model.hilbert_dim
-    grades = np.indices(model.dims).reshape(len(model.dims), -1)
-    total = grades.sum(axis=0)
-    csr = lio.tocsr()
-    prev_moments = None
-    for k in range(6, int(total.max()) + 1, 2):
-        keep = np.flatnonzero(total <= k)
-        s = keep.size
-        if s * s > _GRADED_SOLVE_LIMIT:
-            return None
-        pairs = (keep[:, None] * n + keep[None, :]).ravel()
-        x_sub = _kernel_direct(csr[pairs][:, pairs], s)
-        x = np.zeros(n * n, dtype=complex)
-        x[pairs] = x_sub
-        if s == n:
-            return x, keep  # ladder reached the full space: this IS the direct solve
-        diag = x_sub.reshape(s, s).diagonal().real
-        occ = grades[:, keep].astype(float)
-        moments = np.concatenate([occ @ diag, (occ * (occ - 1.0)) @ diag])
-        if prev_moments is not None:
-            scale = np.maximum(np.abs(moments), np.abs(prev_moments))
-            drift = np.abs(moments - prev_moments) / np.maximum(scale, 1e-30)
-            # A moment below ~1e-16 absolute is already at the arithmetic
-            # floor of the trace sums; relative agreement there is neither
-            # achievable nor needed by any observable built from the state.
-            live = drift[scale >= 1e-16]
-            if live.size == 0 or np.max(live) < _GRADED_MOMENT_TOL:
-                return x, keep
-        prev_moments = moments
-    return None
-
-
 def _kernel_operator(model: CavityModel, weight: float) -> np.ndarray:
     # Matrix-free GMRES on L(X) + w Tr(X) E00 = w E00, the direct kernel's
-    # trace bump (w = _bump_weight of the sparse L), in operator form
-    # L(X) = A X + X A+ + sum c X c+.  It is right-preconditioned by the
-    # Sylvester part S(X) = A X + X A+, which A's eigenbasis diagonalizes:
+    # trace bump, in operator form L(X) = A X + X A+ + sum c X c+.  It is
+    # right-preconditioned by the Sylvester part S(X) = A X + X A+, which A's
+    # eigenbasis diagonalizes:
     # S^-1(Y) = V [(V^-1 Y V^-+)_ij / (lam_i + conj(lam_j))] V+.  Every step
     # is a few n x n products; the n^2 x n^2 superoperator is never built.
     # One refinement round on the true residual is needed at weak drive,
@@ -209,9 +183,7 @@ def _kernel_operator(model: CavityModel, weight: float) -> np.ndarray:
     # ~2e-12, inside the 1e-10 gate, with g2 2.5 % off on coupled (8, 8) at
     # F = 0.04 (2x off at the dip).
     n = model.hilbert_dim
-    a = _drift(model)
-    a_h = a.conj().T
-    jumps = [(c, c.conj().T) for c in model.collapse_ops]
+    a, apply = _lindblad_map(model)
     lam, v = np.linalg.eig(a)
     v_inv = np.linalg.inv(v)
     v_inv_h, v_h = v_inv.conj().T, v.conj().T
@@ -219,9 +191,7 @@ def _kernel_operator(model: CavityModel, weight: float) -> np.ndarray:
 
     def bumped(x: np.ndarray) -> np.ndarray:
         x = x.reshape(n, n)
-        y = a @ x + x @ a_h
-        for c, c_h in jumps:
-            y += c @ x @ c_h
+        y = apply(x)
         y[0, 0] += weight * np.trace(x)
         return y.reshape(-1)
 
@@ -249,73 +219,41 @@ def _kernel_operator(model: CavityModel, weight: float) -> np.ndarray:
     return x
 
 
-def _solve_steady(
-    model: CavityModel, method: str
-) -> tuple[np.ndarray, sp.csr_matrix, np.ndarray]:
-    # Steady state (trace-normalized, Hermitian, residual-gated), the full
-    # Liouvillian, and the basis states the kernel solved on.
-    if not model.collapse_ops:
-        raise SteadyStateError("model has no decay channel; steady state not unique")
-    lio = liouvillian(model)
-    n = model.hilbert_dim
-    keep = np.arange(n)
-    if method == "direct":
-        x = _kernel_direct(lio, n)
-    elif method == "graded":
-        graded = _kernel_graded(model, lio)
-        if graded is None:
-            raise SteadyStateError("graded kernel ladder did not converge")
-        x, keep = graded
-    elif method == "operator":
-        x = _kernel_operator(model, _bump_weight(lio))
-    elif method == "auto":
-        if n * n <= _FULL_SPACE_LIMIT:
-            if len(model.dims) == 1:
-                x = _kernel_direct(lio, n)
-            else:
-                x = _kernel_operator(model, _bump_weight(lio))
-        else:
-            graded = _kernel_graded(model, lio)
-            # The ladder stops on moment drift, not on the residual: a state
-            # that fails the gate falls through to the operator kernel, as a
-            # ladder that outgrows _GRADED_SOLVE_LIMIT does.
-            if graded is not None and _residual(lio, _normalized(graded[0], n)) <= 1e-10:
-                x, keep = graded
-            else:
-                x = _kernel_operator(model, _bump_weight(lio))
-    else:
-        raise ValueError(f"unknown steady-state method {method!r}")
-    rho = _normalized(x, n)
-    residual = _residual(lio, rho)
-    if residual > 1e-10:
-        raise SteadyStateError(f"steady-state residual {residual:.3e} exceeds 1e-10")
-    return rho, lio, keep
-
-
-def _normalized(x: np.ndarray, n: int) -> np.ndarray:
-    rho = x.reshape(n, n)
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
-
-
-def _residual(lio: sp.spmatrix, rho: np.ndarray) -> float:
-    return float(np.max(np.abs(lio @ rho.reshape(-1))))
+def _residual(model: CavityModel, rho: np.ndarray) -> float:
+    """max |L(rho)|, the gate every kernel's state must pass."""
+    _, apply = _lindblad_map(model)
+    return float(np.max(np.abs(apply(rho))))
 
 
 def steady_state(model: CavityModel, *, method: str = "auto") -> DensityMatrix:
     """Kernel of L, trace-normalized.
 
-    method="auto" solves systems of up to _FULL_SPACE_LIMIT unknowns
-    whole: by the sparse LU for a single mode, by the operator-form GMRES
-    for several.  Larger systems go to the excitation-graded direct solve
-    (with internal moment-convergence control), falling back to the
-    operator kernel when the graded ladder cannot converge affordably or its
-    state fails the residual gate.  The individual methods ("direct",
-    "graded", "operator") can be forced for cross-checks; "direct" on a
-    large system is the caller's own memory risk.  Every kernel's state must
-    pass the same gate, max |L rho| <= 1e-10.
+    method="auto" solves a single-mode model of up to _FULL_SPACE_LIMIT
+    unknowns by the sparse LU ("direct") and every other model by the
+    operator-form GMRES ("operator"), which never builds the n^2 x n^2
+    superoperator.  Either method can be forced for cross-checks; "direct"
+    on a large system is the caller's own memory risk.  Every kernel's state
+    must pass the same gate, max |L rho| <= 1e-10.
     """
-    rho, _, _ = _solve_steady(model, method)
+    n = model.hilbert_dim
+    if method == "auto":
+        small_single = len(model.dims) == 1 and n * n <= _FULL_SPACE_LIMIT
+        method = "direct" if small_single else "operator"
+    if method not in ("direct", "operator"):
+        raise ValueError(f"unknown steady-state method {method!r}")
+    if not model.collapse_ops:
+        raise SteadyStateError("model has no decay channel; steady state not unique")
+    weight = _bump_weight(model)
+    if method == "direct":
+        x = _kernel_direct(liouvillian(model), n, weight)
+    else:
+        x = _kernel_operator(model, weight)
+    rho = x.reshape(n, n)
+    rho = 0.5 * (rho + rho.conj().T)
+    rho = rho / np.trace(rho).real
+    residual = _residual(model, rho)
+    if residual > 1e-10:
+        raise SteadyStateError(f"steady-state residual {residual:.3e} exceeds 1e-10")
     return DensityMatrix(rho)
 
 
@@ -347,6 +285,13 @@ def static_g2(model: CavityModel, mix: dict | None = None, rho_ss: np.ndarray | 
     return g2
 
 
+def _tau_grid(tau_grid: Sequence[float]) -> np.ndarray:
+    tau = np.asarray(tau_grid, dtype=float)
+    if tau.ndim != 1 or tau.size < 2 or tau[0] != 0.0 or not np.all(np.diff(tau) > 0):
+        raise ValueError("tau grid must be 1-D, of size >= 2, start at 0, strictly increasing")
+    return tau
+
+
 @dataclass(frozen=True)
 class CorrelationCurve:
     """Delayed autocorrelation g2(tau) on a strictly increasing grid from 0."""
@@ -355,10 +300,8 @@ class CorrelationCurve:
     g2_values: np.ndarray
 
     def __post_init__(self):
-        tau = np.asarray(self.tau_grid, dtype=float)
+        tau = _tau_grid(self.tau_grid)
         g2 = np.asarray(self.g2_values, dtype=float)
-        if tau.ndim != 1 or tau.size < 2 or tau[0] != 0.0 or np.any(np.diff(tau) <= 0):
-            raise ValueError("tau grid must be 1-D, start at 0, strictly increasing")
         if g2.shape != tau.shape:
             raise ValueError("g2 values must match the tau grid")
         tau.setflags(write=False)
@@ -367,37 +310,45 @@ class CorrelationCurve:
         object.__setattr__(self, "g2_values", g2)
 
 
+# g2_tau steps on the states of total excitation <= K, the smallest K whose
+# shells above hold at most this fraction of n_ss in rho_ss's population.
+# Against full-space propagation the curve is then within 5e-12 on
+# tau in [0, 5]; at 1e-10 a homodyne-displaced single mode is 2.7e-9 off.
+_LADDER_TAIL = 1e-14
+
+
 def g2_tau(
     model: CavityModel, mix: dict | None, tau_grid: Sequence[float]
 ) -> CorrelationCurve:
     """g2(tau) by quantum regression.
 
-    The seed d rho_ss d+ evolves on the basis states the steady-state kernel
-    solved on (the steady state's excitation ladder, or the full space) by
-    exact exponential steps, one per interval of tau_grid.
+    The seed d rho_ss d+ evolves by exact exponential steps, one per
+    interval of tau_grid, on the steady state's excitation ladder: the
+    product states of total Fock number <= K, with K the smallest shell
+    above which rho_ss holds at most _LADDER_TAIL * n_ss of its population.
     """
-    tau = np.asarray(tau_grid, dtype=float)
-    if tau.ndim != 1 or tau[0] != 0.0 or np.any(np.diff(tau) <= 0):
-        raise ValueError("tau grid must be 1-D, start at 0, strictly increasing")
-    rho_ss, lio, keep = _solve_steady(model, "auto")
+    tau = _tau_grid(tau_grid)
+    rho_ss = steady_state(model).mat
     _, n_ss = _g2_and_intensity(model, mix, rho_ss)
     d = _measured_operator(model, mix)
     dd = d.conj().T @ d
     seed = d @ rho_ss @ d.conj().T
     seed = seed / np.trace(seed).real  # trace equals n_ss by construction
-    # d never raises the excitation, so the seed lives on the kernel's basis
-    # states; L restricted to them has rho_ss as its exact kernel, so the
-    # curve relaxes to the very state the kernel returned.
+    # d never raises the excitation, so the seed lives on the ladder too.
+    total = np.indices(model.dims).reshape(len(model.dims), -1).sum(axis=0)
+    shells = np.bincount(total, weights=np.diag(rho_ss).real)
+    above = np.cumsum(shells[::-1])[::-1] - shells  # population above each shell
+    keep = np.flatnonzero(total <= np.argmax(above <= _LADDER_TAIL * n_ss))
     n = model.hilbert_dim
     pairs = (keep[:, None] * n + keep[None, :]).ravel()
-    lio_k = lio[pairs][:, pairs]
-    trace = lio_k.trace()
+    lio = liouvillian(model)[pairs][:, pairs]
+    trace = lio.trace()
     y = seed.reshape(-1)[pairs]
     readout = dd.T.reshape(-1)[pairs]  # Tr(dd rho) = readout . vec(rho)
     g2 = np.empty(tau.size)
     g2[0] = (readout @ y).real
     for i, h in enumerate(np.diff(tau), start=1):
-        y = expm_multiply(lio_k * h, y, traceA=trace * h)
+        y = expm_multiply(lio * h, y, traceA=trace * h)
         g2[i] = (readout @ y).real
     return CorrelationCurve(tau, g2 / n_ss)
 

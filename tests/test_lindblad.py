@@ -115,30 +115,22 @@ class TestSteadyState:
         rho = steady_state(build_single_kerr(0.4, 0.0, 0.1, 8)).mat
         assert rho[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
-    def test_unknown_method(self):
+    @pytest.mark.parametrize("method", ["magic", "graded", "march"])
+    def test_unknown_method(self, method):
         model = build_single_kerr(0.1, 0.1, 0.0, 8)
         with pytest.raises(ValueError, match="method"):
-            steady_state(model, method="magic")
-
-    def test_graded_ladder_size_limit_raises_when_forced(self, monkeypatch):
-        monkeypatch.setattr(lindblad, "_GRADED_SOLVE_LIMIT", 100)
-        model = build_coupled_cavities(0.01, 6.2, 0.04, 0.2, (8, 8))
-        with pytest.raises(SteadyStateError, match="graded"):
-            steady_state(model, method="graded")
+            steady_state(model, method=method)
 
     def test_methods_agree_on_coupled_model(self):
-        # weakly excited coupled cavities: the graded ladder must reproduce
-        # the full direct solve, and so must the operator kernel up to the
-        # direct solve's own double-precision floor on this observable
-        # (n_ss ~ 3.6e-7: rescaling the LU's trace bump by 0.1-10 moves its
-        # g2 by up to 3.6e-7)
+        # weakly excited coupled cavities: the operator kernel must reproduce
+        # the full direct solve up to the direct solve's own double-precision
+        # floor on this observable (n_ss ~ 3.6e-7: rescaling the LU's trace
+        # bump by 0.1-10 moves its g2 by up to 3.6e-7)
         model = build_coupled_cavities(
             0.01, 6.2, 0.04, 1.0 / (2.0 * np.sqrt(3.0)), (8, 8)
         )
         g2_direct = static_g2(model, rho_ss=steady_state(model, method="direct").mat)
-        g2_graded = static_g2(model, rho_ss=steady_state(model, method="graded").mat)
         g2_operator = static_g2(model, rho_ss=steady_state(model, method="operator").mat)
-        assert g2_graded == pytest.approx(g2_direct, rel=1e-8)
         assert g2_operator == pytest.approx(g2_direct, rel=1e-6)
 
     @pytest.mark.parametrize("F", [0.04, 0.2, 0.5])
@@ -149,9 +141,9 @@ class TestSteadyState:
         # the direct LU's own g2 is up to 5e-6 relative off an
         # extended-precision refinement of it.
         model = build_coupled_cavities(U, J, F, 1.0 / (2.0 * np.sqrt(3.0)), dims)
-        rho_op, lio, _ = lindblad._solve_steady(model, "operator")
+        rho_op = steady_state(model, method="operator").mat
         rho_direct = steady_state(model, method="direct").mat
-        assert lindblad._residual(lio, rho_op) <= 1e-10
+        assert lindblad._residual(model, rho_op) <= 1e-10
         assert static_g2(model, rho_ss=rho_op) == pytest.approx(
             static_g2(model, rho_ss=rho_direct), rel=1e-6
         )
@@ -169,14 +161,12 @@ class TestSteadyState:
         with pytest.raises(SteadyStateError, match=r"operator kernel: GMRES info 7 .*residual"):
             steady_state(model)
 
-    def test_auto_falls_back_when_the_ladder_state_fails_the_gate(self):
-        # Strong drive: the graded ladder meets its moment tolerance with a
-        # state whose residual is 5.6e-9, above the 1e-10 gate.  Forced, the
-        # graded kernel still refuses it; auto falls through to the operator
-        # kernel.
+    def test_auto_solves_strongly_driven_coupled_model_above_full_space_limit(self):
+        # Strong drive above _FULL_SPACE_LIMIT, where a ladder truncated once
+        # its low-order moments converge fails the 1e-10 gate (residual
+        # 5.6e-9): auto must solve the whole space.
         model = build_coupled_cavities(0.3, 1.0, 0.2, 0.0, (11, 10))
-        with pytest.raises(SteadyStateError, match="residual"):
-            steady_state(model, method="graded")
+        assert model.hilbert_dim**2 > lindblad._FULL_SPACE_LIMIT
         g2_auto = static_g2(model, rho_ss=steady_state(model).mat)
         # method="direct" gives 1.18446547895633 here, in 8.5 s
         assert g2_auto == pytest.approx(1.18446547895633, rel=1e-8)
@@ -229,18 +219,28 @@ class TestCorrelationCurve:
 
 
 class TestG2Tau:
-    def test_grid_must_start_at_zero(self):
+    def test_grid_must_start_at_zero(self, monkeypatch):
+        # refused up front, before any steady-state solve
+        monkeypatch.setattr(lindblad, "steady_state", None)
         model = build_single_kerr(0.5, 0.3, 0.0, 10)
-        with pytest.raises(ValueError):
-            g2_tau(model, None, [0.5, 1.0])
+        for tau in ([0.5, 1.0], [], [0.0]):
+            with pytest.raises(ValueError, match="tau grid"):
+                g2_tau(model, None, tau)
 
     def test_linear_cavity_curve_is_flat(self):
         model = build_single_kerr(0.0, 0.2, 0.1, 12)
         curve = g2_tau(model, None, np.linspace(0.0, 5.0, 21))
         assert np.max(np.abs(curve.g2_values - 1.0)) < 1e-7
 
-    def test_zero_delay_matches_static_g2(self):
-        model = build_single_kerr(0.5, 0.3, 0.0, 12)
+    @pytest.mark.parametrize(
+        "model",
+        [
+            build_single_kerr(0.5, 0.3, 0.0, 12),
+            build_coupled_cavities(U_OPT, 6.2, 0.04, 0.2852, (11, 10)),
+        ],
+        ids=["single", "coupled-blockade"],
+    )
+    def test_zero_delay_matches_static_g2(self, model):
         curve = g2_tau(model, None, np.array([0.0, 0.5, 1.0]))
         assert abs(curve.g2_values[0] - static_g2(model)) < 1e-10
 
@@ -257,15 +257,16 @@ class TestG2Tau:
         return build_coupled_cavities(U_OPT, 6.2, 0.04, 0.2852, dims)
 
     @staticmethod
-    def _seed_and_readout(model, rho_ss):
-        a = model.monitored
-        n_ss = np.trace(a.conj().T @ a @ rho_ss).real
-        seed = a @ rho_ss @ a.conj().T
+    def _seed_and_readout(model, rho_ss, mix=None):
+        beta = mix["beta"] if mix else 0.0
+        d = model.monitored + beta * np.eye(model.hilbert_dim)
+        n_ss = np.trace(d.conj().T @ d @ rho_ss).real
+        seed = d @ rho_ss @ d.conj().T
         seed = seed.reshape(-1) / np.trace(seed).real
-        return seed, (a.conj().T @ a).T.reshape(-1) / n_ss
+        return seed, (d.conj().T @ d).T.reshape(-1) / n_ss
 
     def test_coupled_curve_matches_dense_exponential_steps(self):
-        model = self._blockade_model((6, 6))  # full space, direct kernel
+        model = self._blockade_model((6, 6))  # direct-LU state, dense steps
         tau = np.linspace(0.0, 10.0, 51)
         y, readout = self._seed_and_readout(model, steady_state(model, method="direct").mat)
         step = scipy.linalg.expm(liouvillian(model).toarray() * (tau[1] - tau[0]))
@@ -276,15 +277,22 @@ class TestG2Tau:
         curve = g2_tau(model, None, tau)
         assert np.max(np.abs(curve.g2_values - reference)) < 1e-9
 
-    def test_ladder_curve_matches_full_space_propagation(self):
-        model = self._blockade_model((11, 10))
-        assert model.hilbert_dim**2 > lindblad._FULL_SPACE_LIMIT  # graded kernel
+    @pytest.mark.parametrize(
+        "model, mix",
+        [
+            (build_coupled_cavities(U_OPT, 6.2, 0.04, 0.2852, (11, 10)), None),
+            (build_coupled_cavities(0.3, 1.0, 0.2, 0.0, (11, 10)), None),
+            (build_single_kerr(0.01, 0.15, 0.0, 12), {"beta": -0.27}),
+        ],
+        ids=["coupled-blockade", "coupled-strong", "single-homodyne"],
+    )
+    def test_ladder_curve_matches_full_space_propagation(self, model, mix):
         tau = np.linspace(0.0, 3.0, 7)
-        y, readout = self._seed_and_readout(model, steady_state(model).mat)
+        y, readout = self._seed_and_readout(model, steady_state(model).mat, mix)
         states = expm_multiply(
             liouvillian(model), y, start=0.0, stop=3.0, num=7, endpoint=True
         )
-        curve = g2_tau(model, None, tau)
+        curve = g2_tau(model, mix, tau)
         assert np.max(np.abs(curve.g2_values - (states @ readout).real)) < 1e-9
 
 

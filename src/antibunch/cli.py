@@ -341,10 +341,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figure", help="write <name>.csv and <name>.meta.json")
     p_fig.add_argument("name", help="one of: " + ", ".join(sorted(figures.FIGURES)))
     p_self = sub.add_parser("selftest", help="fast invariant suite")
+    dim_help = {
+        p_g2: "truncation of every state in the config, replacing each spec's dim",
+        p_fig: "the figure's one truncation parameter: dim (fig2-fig5), dim_a "
+        "(fig6's squeezed arm; dim_b is kept) or dim_single (fig7; dims_coupled is kept)",
+        p_self: "truncation of the ladder, displacement and squeeze checks",
+    }
     for p in (p_g2, p_fig, p_self):
         p.add_argument("--config", type=Path, help="JSON config file")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument("--dim", type=int, help="truncation override for every mode")
+        p.add_argument("--dim", type=int, help=dim_help[p])
         p.add_argument("--pretty", action="store_true", help="indent JSON output")
     return parser
 

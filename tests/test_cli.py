@@ -1,13 +1,16 @@
 """Command-line interface: config parsing, exit codes, file outputs."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import antibunch
 from antibunch import cli
 from antibunch.errors import ConfigError
 
@@ -210,3 +213,20 @@ class TestEntrypoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["g2"] == pytest.approx(1.0, abs=1e-8)
+
+
+class TestReadme:
+    def test_command_line_block_runs(self, tmp_path):
+        # README's "Command line" block, verbatim, with `antibunch` run from
+        # this source tree; set -e stops at the first command that fails.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line\n", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        script = 'set -ex\nantibunch() { "$PYTHON" -m antibunch.cli "$@"; }\n' + block
+        src = str(Path(antibunch.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHON": sys.executable,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(["bash", "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "data" / "fig3b.csv").exists()

@@ -314,12 +314,21 @@ class TestTuner:
         with pytest.raises(ValueError, match="family"):
             tune_for_antibunching("triple")
 
-    def test_homodyne_dial_needs_nonlinearity(self):
+    def test_homodyne_dial_needs_nonlinearity(self, monkeypatch):
         # with U = 0 the output stays coherent up to the displacement, which
         # cannot synthesize antibunching below the documented 0.9 floor
         import warnings
 
+        deltas = []
+
+        def recording_build(U, F, Delta, dim):
+            deltas.append(Delta)
+            return build_single_kerr(U, F, Delta, dim)
+
+        monkeypatch.setattr(lindblad, "build_single_kerr", recording_build)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             result = tune_for_antibunching("single", U=0.0)
         assert result["g2"] >= 0.9
+        # the search never leaves the near-resonant slab |Delta| <= 0.05
+        assert deltas and max(abs(d) for d in deltas) <= 0.05

@@ -1,7 +1,7 @@
 """Command-line front end: ad-hoc g2 evaluation, figure datasets, selftest.
 
-Exit codes: 0 success, 2 undefined g2 (output below the intensity floor),
-3 configuration error, 4 selftest failure.
+Exit codes: 0 success, 2 undefined g2 (output below the intensity floor)
+or a usage error (argparse), 3 configuration error, 4 selftest failure.
 """
 
 from __future__ import annotations
@@ -347,11 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
         "(fig6's squeezed arm; dim_b is kept) or dim_single (fig7; dims_coupled is kept)",
         p_self: "truncation of the ladder, displacement and squeeze checks",
     }
-    for p in (p_g2, p_fig, p_self):
+    # Each subcommand takes only the options it reads; argparse refuses the rest.
+    for p in (p_g2, p_fig):
         p.add_argument("--config", type=Path, help="JSON config file")
-        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    p_fig.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    for p in (p_g2, p_fig, p_self):
         p.add_argument("--dim", type=int, help=dim_help[p])
-        p.add_argument("--pretty", action="store_true", help="indent JSON output")
+    p_g2.add_argument("--pretty", action="store_true", help="indent JSON output")
     return parser
 
 

@@ -283,8 +283,10 @@ def fig7(tau_max=10.0, n_tau=201, U=0.01, J=6.2, dim_single=12,
               "tune_dims_coupled": list(tune_dims_coupled)}
     extra = {
         "single": {"F": tuned_s["F"], "Delta": tuned_s["Delta"],
-                   "beta": [beta.real, beta.imag], "g2_0": tuned_s["g2"]},
-        "coupled": {"F": tuned_c["F"], "Delta": tuned_c["Delta"], "g2_0": tuned_c["g2"]},
+                   "beta": [beta.real, beta.imag], "g2_0": tuned_s["g2"],
+                   "on_bound": tuned_s["on_bound"]},
+        "coupled": {"F": tuned_c["F"], "Delta": tuned_c["Delta"], "g2_0": tuned_c["g2"],
+                    "on_bound": tuned_c["on_bound"]},
         "coupled_oscillation_frequency": lindblad.oscillation_frequency(curve_c),
     }
     return FigureResult("fig7", ("tau", "g2_single", "g2_coupled"),

@@ -102,18 +102,43 @@ def _drift(model: CavityModel) -> np.ndarray:
     return a
 
 
-def _superoperator(drift: np.ndarray, collapse_ops: Sequence[np.ndarray]) -> sp.csr_matrix:
-    # A kron 1 + 1 kron conj(A) + sum c kron conj(c) on row-major vec(rho).
-    a = sp.csr_matrix(drift)
-    ident = sp.identity(drift.shape[0], format="csr", dtype=complex)
-    lio = sp.kron(a, ident) + sp.kron(ident, a.conj())
+def _superoperator(
+    drift: np.ndarray, collapse_ops: Sequence[np.ndarray], trace_bump: float = 0.0
+) -> sp.csc_matrix:
+    # A kron 1 + 1 kron conj(A) + sum c kron conj(c) on row-major vec(rho),
+    # plus trace_bump * |e_0><trace| if it is nonzero.  Each term's
+    # (row, col, value) triplets come from its factors' nonzeros; one sparse
+    # constructor sums the duplicates, with no kron or add chain.  It sums
+    # them in no fixed order, which is exact here: in this module's models
+    # at most two terms meet at an entry (the diagonals of the two drift
+    # terms, or a jump term and the trace bump).
+    n = drift.shape[0]
+    k = np.arange(n)
+    i, j = np.nonzero(drift)
+    a = drift[i, j]
+    # A kron 1 puts A_ij at (i n + k, j n + k); 1 kron conj(A) puts
+    # conj(A_ij) at (k n + i, k n + j).
+    rows = [(i[:, None] * n + k).ravel(), (k[:, None] * n + i).ravel()]
+    cols = [(j[:, None] * n + k).ravel(), (k[:, None] * n + j).ravel()]
+    vals = [np.repeat(a, n), np.tile(a.conj(), n)]
     for c in collapse_ops:
-        cs = sp.csr_matrix(c)
-        lio = lio + sp.kron(cs, cs.conj())
-    return lio.tocsr()
+        # c kron conj(c) puts c_pq conj(c_rs) at (p n + r, q n + s).
+        p, q = np.nonzero(c)
+        v = c[p, q]
+        rows.append((p[:, None] * n + p).ravel())
+        cols.append((q[:, None] * n + q).ravel())
+        vals.append((v[:, None] * v.conj()).ravel())
+    if trace_bump:
+        rows.append(np.zeros(n, dtype=k.dtype))
+        cols.append(k * (n + 1))
+        vals.append(np.full(n, trace_bump, dtype=complex))
+    nn = n * n
+    return sp.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(nn, nn)
+    )
 
 
-def liouvillian(model: CavityModel) -> sp.csr_matrix:
+def liouvillian(model: CavityModel) -> sp.csc_matrix:
     """Sparse superoperator on row-major vec(rho): vec(A rho B) = (A kron B^T) vec.
 
     L = A kron 1 + 1 kron conj(A) + sum c kron conj(c), with A = _drift(model).
@@ -125,33 +150,35 @@ def liouvillian(model: CavityModel) -> sp.csr_matrix:
 # LU, which factors its banded Liouvillian faster than the operator-form
 # GMRES at weak and strong drive alike: over the 804 dim-12 solves of the
 # cavity benchmark's refine job (F 0.02-1, median 0.15) a whole solve takes
-# 3.0-3.6 ms median by LU and 4.4-5.2 ms by the operator kernel; at
-# F >= 0.6, dims 12-24, 5-12 ms against 12-80 ms.  Every other model goes to
+# 1.2-1.3 ms median by LU and 2.4-2.7 ms by the operator kernel; at
+# F >= 0.6, dims 12-24, 0.9-3.0 ms against 7-43 ms, and GMRES stalls short
+# of its tolerance at dims 18 and 24, F = 0.8.  Every other model goes to
 # the operator kernel, which never forms the superoperator and beats the
 # LU's fill-in with two modes (coupled (8, 8): ~14 ms against ~650 ms).
 _FULL_SPACE_LIMIT = 10000
 
 
-def _lindblad_map(model: CavityModel) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """A = _drift(model) and X -> L(X) = A X + X A+ + sum c X c+ on n x n matrices."""
-    a = _drift(model)
-    a_h = a.conj().T
-    jumps = [(c, c.conj().T) for c in model.collapse_ops]
+def _lindblad_map(
+    drift: np.ndarray, collapse_ops: Sequence[np.ndarray]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """X -> L(X) = A X + X A+ + sum c X c+ on n x n matrices, A = drift."""
+    a_h = drift.conj().T
+    jumps = [(c, c.conj().T) for c in collapse_ops]
 
     def apply(x: np.ndarray) -> np.ndarray:
-        y = a @ x + x @ a_h
+        y = drift @ x + x @ a_h
         for c, c_h in jumps:
             y += c @ x @ c_h
         return y
 
-    return a, apply
+    return apply
 
 
-def _bump_weight(model: CavityModel) -> float:
+def _bump_weight(model: CavityModel, drift: np.ndarray) -> float:
     # Scale of the trace bump weight * |e_0><trace| that both kernels add to
     # L: mean |diag L|, so the bump is as stiff as L itself.  On row-major
     # vec(rho), diag L at (i, j) is A_ii + conj(A_jj) + sum c_ii conj(c_jj).
-    a = np.diag(_drift(model))
+    a = np.diag(drift)
     diag = a[:, None] + a.conj()[None, :]
     for c in model.collapse_ops:
         c_diag = np.diag(c)
@@ -159,24 +186,20 @@ def _bump_weight(model: CavityModel) -> float:
     return float(np.mean(np.abs(diag)))
 
 
-def _kernel_direct(lio: sp.spmatrix, n: int, weight: float) -> np.ndarray:
-    nn = n * n
-    # Add weight * |e_0><trace| so the kernel vector becomes the unique
-    # solution of a regular system (the standard direct method).
-    diag_positions = np.arange(0, nn, n + 1)
-    bump = sp.csr_matrix(
-        (np.full(n, weight), (np.zeros(n, dtype=int), diag_positions)), shape=(nn, nn)
-    )
+def _kernel_direct(model: CavityModel, drift: np.ndarray, weight: float) -> np.ndarray:
+    # L + weight * |e_0><trace| is regular, so the kernel vector is the
+    # unique solution of one sparse solve (the standard direct method).
+    nn = model.hilbert_dim ** 2
     rhs = np.zeros(nn, dtype=complex)
     rhs[0] = weight
     try:
-        solver = splu((lio + bump).tocsc())
+        solver = splu(_superoperator(drift, model.collapse_ops, trace_bump=weight))
         return solver.solve(rhs)
     except RuntimeError as exc:
         raise SteadyStateError(f"Liouvillian solve failed: {exc}") from exc
 
 
-def _kernel_operator(model: CavityModel, weight: float) -> np.ndarray:
+def _kernel_operator(model: CavityModel, drift: np.ndarray, weight: float) -> np.ndarray:
     # Matrix-free GMRES on L(X) + w Tr(X) E00 = w E00, the direct kernel's
     # trace bump, in operator form L(X) = A X + X A+ + sum c X c+.  It is
     # right-preconditioned by the Sylvester part S(X) = A X + X A+, which A's
@@ -188,8 +211,8 @@ def _kernel_operator(model: CavityModel, weight: float) -> np.ndarray:
     # ~2e-12, inside the 1e-10 gate, with g2 2.5 % off on coupled (8, 8) at
     # F = 0.04 (2x off at the dip).
     n = model.hilbert_dim
-    a, apply = _lindblad_map(model)
-    lam, v = np.linalg.eig(a)
+    apply = _lindblad_map(drift, model.collapse_ops)
+    lam, v = np.linalg.eig(drift)
     v_inv = np.linalg.inv(v)
     v_inv_h, v_h = v_inv.conj().T, v.conj().T
     denom = lam[:, None] + lam.conj()[None, :]
@@ -224,10 +247,9 @@ def _kernel_operator(model: CavityModel, weight: float) -> np.ndarray:
     return x
 
 
-def _residual(model: CavityModel, rho: np.ndarray) -> float:
+def _residual(model: CavityModel, drift: np.ndarray, rho: np.ndarray) -> float:
     """max |L(rho)|, the gate every kernel's state must pass."""
-    _, apply = _lindblad_map(model)
-    return float(np.max(np.abs(apply(rho))))
+    return float(np.max(np.abs(_lindblad_map(drift, model.collapse_ops)(rho))))
 
 
 def steady_state(model: CavityModel, *, method: str = "auto") -> DensityMatrix:
@@ -248,15 +270,14 @@ def steady_state(model: CavityModel, *, method: str = "auto") -> DensityMatrix:
         raise ValueError(f"unknown steady-state method {method!r}")
     if not model.collapse_ops:
         raise SteadyStateError("model has no decay channel; steady state not unique")
-    weight = _bump_weight(model)
-    if method == "direct":
-        x = _kernel_direct(liouvillian(model), n, weight)
-    else:
-        x = _kernel_operator(model, weight)
+    drift = _drift(model)  # built once, shared by the weight, the kernel and the gate
+    weight = _bump_weight(model, drift)
+    kernel = _kernel_direct if method == "direct" else _kernel_operator
+    x = kernel(model, drift, weight)
     rho = x.reshape(n, n)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
-    residual = _residual(model, rho)
+    residual = _residual(model, drift, rho)
     if residual > 1e-10:
         raise SteadyStateError(f"steady-state residual {residual:.3e} exceeds 1e-10")
     return DensityMatrix(rho)
@@ -386,6 +407,13 @@ _CERTIFIABILITY_GUARD = 2e-8
 _TAU_PROBE = np.linspace(0.0, 20.0, 201)
 
 
+def _on_bound(names: Sequence[str], x: Sequence[float], bounds) -> list[str]:
+    # Parameters within 1e-9 of their search bound: there the tuned g2 is set
+    # by the search range, not by the physics.
+    hits = [name for name, v, (lo, hi) in zip(names, x, bounds) if min(v - lo, hi - v) <= 1e-9]
+    return list(dict.fromkeys(hits))
+
+
 def tune_for_antibunching(
     model_family: str,
     U: float = 0.01,
@@ -401,7 +429,8 @@ def tune_for_antibunching(
     Parameter search runs at tune_dims (defaults: final dims for single,
     (8, 8) for coupled, kept because fig7's tuned point depends on it) and
     the reported g2 is re-evaluated at dims.  Returns the parameter set, the
-    achieved g2(0), and the mix dict to pass to g2_tau.
+    achieved g2(0), the mix dict to pass to g2_tau, and on_bound: the names
+    of the parameters that sit within 1e-9 of their search bound.
     """
     if model_family not in ("single", "coupled"):
         raise ValueError(f"unknown model family {model_family!r}")
@@ -441,7 +470,8 @@ def tune_for_antibunching(
         if np.max(g2_tau(final, mix, _TAU_PROBE).g2_values) > 1.0 + 1e-6:
             warnings.warn("no tuned single-cavity point had a non-ringing curve")
         achieved = static_g2(final, mix=mix)
-        return {**params, "U": U, "g2": achieved, "mix": mix, "dims": dims}
+        return {**params, "U": U, "g2": achieved, "mix": mix, "dims": dims,
+                "on_bound": _on_bound(("F", "Delta", "beta", "beta"), x, slab)}
 
     # The coupled family has no homodyne dial, but the drive amplitude still
     # scales the measured intensity (n_ss ~ F^2, strongly suppressed by the
@@ -461,11 +491,10 @@ def tune_for_antibunching(
     # fatol matches the arithmetic noise floor of the g2 trace ratio at this
     # family's intensities (n_ss ~ 1e-7 gives ~1e-6 absolute): refining the
     # razor-sharp interference dip below that would chase noise, not physics.
-    x, val = optimize.refine_min(
-        objective, best[0], bounds=[(0.04, 0.5), (-2.0, 2.0)],
-        fatol=2e-6, maxfev=400,
-    )
+    bounds = [(0.04, 0.5), (-2.0, 2.0)]
+    x, val = optimize.refine_min(objective, best[0], bounds, fatol=2e-6, maxfev=400)
     params = {"F": float(x[0]), "Delta": float(x[1])}
     final = build_coupled_cavities(U, J, params["F"], params["Delta"], dims)
     achieved = static_g2(final, mix=None)
-    return {**params, "U": U, "J": J, "g2": achieved, "mix": None, "dims": dims}
+    return {**params, "U": U, "J": J, "g2": achieved, "mix": None, "dims": dims,
+            "on_bound": _on_bound(("F", "Delta"), x, bounds)}

@@ -342,6 +342,14 @@ def test_10_cavity_antibunching(tuned_single, tuned_coupled):
     )
 
 
+def test_10_tuners_report_parameters_on_their_search_bound(tuned_single, tuned_coupled):
+    # At U = 0.01 the single tuner's Delta sits on the edge of its
+    # |Delta| <= 0.05 slab and the coupled tuner's F on its 0.04 floor: each
+    # tuned g2(0) is set by that bound, and the tuner says so.
+    assert "Delta" in tuned_single["on_bound"]
+    assert "F" in tuned_coupled["on_bound"]
+
+
 def test_11_truncation_convergence(tuned_single):
     # Headline numbers from the numbered checks above, re-evaluated with
     # every truncation dimension raised by 8 at fixed parameters.  The

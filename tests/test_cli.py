@@ -203,6 +203,23 @@ class TestSelftest:
         assert "FAIL" in out
 
 
+class TestOptionsPerSubcommand:
+    # Each subcommand registers only the options it reads, so one it would
+    # ignore is refused by argparse (exit 2) instead of passing silently.
+    @pytest.mark.parametrize(
+        "argv, refused",
+        [(["g2", "--out", "elsewhere"], "--out elsewhere"),
+         (["figure", "fig2", "--pretty"], "--pretty"),
+         (["selftest", "--config", "cfg.json"], "--config cfg.json")],
+        ids=["g2-out", "figure-pretty", "selftest-config"],
+    )
+    def test_unread_option_is_refused(self, argv, refused, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {refused}" in capsys.readouterr().err
+
+
 class TestEntrypoint:
     def test_module_execution(self, tmp_path):
         cfg = write_config(tmp_path, {"state": {"kind": "coherent", "alpha": 0.4}})

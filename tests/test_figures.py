@@ -245,6 +245,8 @@ class TestDelayedCorrelations:
         assert res.rows[0][0] == 0.0
         assert res.meta["single"]["g2_0"] < 1.0
         assert res.meta["coupled"]["g2_0"] < 1.0
+        for family in ("single", "coupled"):
+            assert set(res.meta[family]["on_bound"]) <= {"F", "Delta", "beta"}
         assert "coupled_oscillation_frequency" in res.meta
 
 

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg import expm_multiply, splu
 
 from antibunch import beamsplitter, lindblad
 from antibunch.errors import (
@@ -59,6 +62,80 @@ class TestBuilders:
     def test_hilbert_dim(self):
         assert build_single_kerr(0.1, 0.1, 0.0, 9).hilbert_dim == 9
         assert build_coupled_cavities(0.1, 1.0, 0.1, 0.0, (6, 7)).hilbert_dim == 42
+
+
+def dense_superoperator(drift, collapse_ops):
+    # The reference: A kron 1 + 1 kron conj(A) + sum c kron conj(c), dense.
+    ident = np.eye(drift.shape[0])
+    lio = np.kron(drift, ident) + np.kron(ident, drift.conj())
+    for c in collapse_ops:
+        lio = lio + np.kron(c, c.conj())
+    return lio
+
+
+@st.composite
+def sparse_dyadic(draw, n):
+    # Complex entries on a quarter-integer grid with a random zero pattern.
+    # Every product and sum of such entries is exact in floating point, so
+    # the sparse assembly must equal the dense reference bit for bit,
+    # whatever order it sums duplicates in.
+    parts = draw(hnp.arrays(np.int8, (2, n, n), elements=st.integers(-8, 8)))
+    mask = draw(hnp.arrays(bool, (n, n)))
+    return (parts[0] + 1j * parts[1]) / 4 * mask
+
+
+@st.composite
+def random_operators(draw):
+    n = draw(st.integers(2, 12))
+    drift = draw(sparse_dyadic(n))
+    return drift, [draw(sparse_dyadic(n)) for _ in range(draw(st.integers(0, 2)))]
+
+
+@st.composite
+def ladder_restricted_models(draw):
+    # A model's A and c restricted to a random subset of at most 12 states,
+    # as g2_tau restricts them to the excitation ladder.
+    coupled = draw(st.booleans())
+    U, F = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    Delta = draw(st.floats(-1.0, 1.0))
+    if coupled:
+        model = build_coupled_cavities(U, draw(st.floats(0.0, 7.0)), F, Delta, (6, 6))
+    else:
+        model = build_single_kerr(U, F, Delta, draw(st.integers(8, 12)))
+    states = draw(st.sets(st.integers(0, model.hilbert_dim - 1), min_size=2, max_size=12))
+    ix = np.ix_(sorted(states), sorted(states))
+    return lindblad._drift(model)[ix], [c[ix] for c in model.collapse_ops]
+
+
+class TestAssembly:
+    @settings(max_examples=80, deadline=None)
+    @given(ops=st.one_of(random_operators(), ladder_restricted_models()))
+    def test_superoperator_equals_dense_kron(self, ops):
+        drift, collapse_ops = ops
+        lio = lindblad._superoperator(drift, collapse_ops)
+        assert np.array_equal(lio.toarray(), dense_superoperator(drift, collapse_ops))
+
+    @pytest.mark.parametrize(
+        "model",
+        [build_single_kerr(0.3, 0.6, 0.1, 10), build_coupled_cavities(0.3, 1.0, 0.2, 0.0, (6, 6))],
+        ids=["single", "coupled"],
+    )
+    def test_direct_kernel_factors_the_bumped_liouvillian(self, model, monkeypatch):
+        factored = []
+
+        def recording_splu(matrix):
+            factored.append(matrix)
+            return splu(matrix)
+
+        monkeypatch.setattr(lindblad, "splu", recording_splu)
+        drift = lindblad._drift(model)
+        weight = lindblad._bump_weight(model, drift)
+        lindblad._kernel_direct(model, drift, weight)
+        n = model.hilbert_dim
+        expected = dense_superoperator(drift, model.collapse_ops)
+        expected[0, :: n + 1] += weight  # weight * |e_0><trace|
+        assert len(factored) == 1 and factored[0].format == "csc"
+        assert np.array_equal(factored[0].toarray(), expected)
 
 
 class TestLiouvillian:
@@ -143,7 +220,7 @@ class TestSteadyState:
         model = build_coupled_cavities(U, J, F, 1.0 / (2.0 * np.sqrt(3.0)), dims)
         rho_op = steady_state(model, method="operator").mat
         rho_direct = steady_state(model, method="direct").mat
-        assert lindblad._residual(model, rho_op) <= 1e-10
+        assert lindblad._residual(model, lindblad._drift(model), rho_op) <= 1e-10
         assert static_g2(model, rho_ss=rho_op) == pytest.approx(
             static_g2(model, rho_ss=rho_direct), rel=1e-6
         )

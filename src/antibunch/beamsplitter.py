@@ -97,18 +97,10 @@ def _rotation_phases(params: BeamsplitterParams, sectors: _Sectors) -> np.ndarra
     return np.exp(-1j * theta * sectors.evals)[:, np.newaxis, :]
 
 
-@lru_cache(maxsize=64)
-def _mode_a_occupations(dim_a: int, dim_b: int) -> np.ndarray:
-    na = np.repeat(np.arange(dim_a, dtype=float), dim_b)
-    na.setflags(write=False)
-    return na
-
-
-@lru_cache(maxsize=64)
-def _mode_b_occupations(dim_a: int, dim_b: int) -> np.ndarray:
-    nb = np.tile(np.arange(dim_b, dtype=float), dim_a)
-    nb.setflags(write=False)
-    return nb
+def _occupations(dim_a: int, dim_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Photon numbers (n_a, n_b) of each joint basis state, in joint index order."""
+    return (np.repeat(np.arange(dim_a, dtype=float), dim_b),
+            np.tile(np.arange(dim_b, dtype=float), dim_a))
 
 
 def bs_unitary(params: BeamsplitterParams, dim_a: int, dim_b: int) -> np.ndarray:
@@ -120,7 +112,7 @@ def bs_unitary(params: BeamsplitterParams, dim_a: int, dim_b: int) -> np.ndarray
     vecs, idx = sectors.vecs, sectors.index
     blocks = (vecs * _rotation_phases(params, sectors)) @ vecs.conj().swapaxes(1, 2)
     rot[idx[:, :, np.newaxis], idx[:, np.newaxis, :]] = blocks
-    phase = np.exp(1j * params.phase_rad * _mode_b_occupations(dim_a, dim_b))
+    phase = np.exp(1j * params.phase_rad * _occupations(dim_a, dim_b)[1])
     return rot[:size, :size] * phase[np.newaxis, :]
 
 
@@ -144,12 +136,12 @@ def mix(state_a: FockVector, state_b: FockVector, params: BeamsplitterParams) ->
     return TwoModeState(out, state_a.dim, state_b.dim)
 
 
-def _weighted_g2(psi: np.ndarray, occ: np.ndarray) -> tuple[float, float]:
-    p = np.abs(psi) ** 2
+def _weighted_g2(p: np.ndarray, occ: np.ndarray) -> tuple[float, float]:
+    """(g2, n_mean) of a photon-number distribution p over occupations occ."""
     n_mean = float(p @ occ)
     if n_mean < INTENSITY_FLOOR:
         raise VacuumOutputError(
-            f"output intensity {n_mean:.3e} below floor {INTENSITY_FLOOR:g}; g2 undefined"
+            f"mean photon number {n_mean:.3e} below floor {INTENSITY_FLOOR:g}; g2 undefined"
         )
     numerator = float(p @ (occ * (occ - 1.0)))
     return numerator / (n_mean * n_mean), n_mean
@@ -163,16 +155,16 @@ def output_g2(
     g2 = <A+ A+ A A> / <A+ A>^2; both moments are diagonal in the joint
     number basis, so only one mixing matvec is needed per call.
     """
-    psi = _mixed_amps(state_a.amps, state_b.amps, params)
-    return _weighted_g2(psi, _mode_a_occupations(state_a.dim, state_b.dim))
+    p = np.abs(_mixed_amps(state_a.amps, state_b.amps, params)) ** 2
+    return _weighted_g2(p, _occupations(state_a.dim, state_b.dim)[0])
 
 
 def output_g2_b(
     state_a: FockVector, state_b: FockVector, params: BeamsplitterParams
 ) -> tuple[float, float]:
     """(g2, n_mean) of the complementary output mode B."""
-    psi = _mixed_amps(state_a.amps, state_b.amps, params)
-    return _weighted_g2(psi, _mode_b_occupations(state_a.dim, state_b.dim))
+    p = np.abs(_mixed_amps(state_a.amps, state_b.amps, params)) ** 2
+    return _weighted_g2(p, _occupations(state_a.dim, state_b.dim)[1])
 
 
 def g2_from_coeffs(coeffs) -> float:
@@ -186,14 +178,7 @@ def g2_from_coeffs(coeffs) -> float:
     total = p.sum()
     if total == 0.0:
         raise VacuumOutputError("all-zero amplitude list; g2 undefined")
-    p = p / total
-    n = np.arange(p.size, dtype=float)
-    n_mean = float(p @ n)
-    if n_mean < INTENSITY_FLOOR:
-        raise VacuumOutputError(
-            f"mean photon number {n_mean:.3e} below floor {INTENSITY_FLOOR:g}; g2 undefined"
-        )
-    return float(p @ (n * (n - 1.0))) / (n_mean * n_mean)
+    return _weighted_g2(p / total, np.arange(p.size, dtype=float))[0]
 
 
 def _ladder_moments(amps: np.ndarray) -> np.ndarray:
@@ -293,7 +278,6 @@ def heisenberg_residual(params: BeamsplitterParams, dim_a: int, dim_b: int) -> f
     sqrt_t, sqrt_r = math.sqrt(params.T), math.sqrt(params.R)
     res_a = u.conj().T @ a2 @ u - (sqrt_t * a2 + sqrt_r * phase * b2)
     res_b = u.conj().T @ b2 @ u - (-sqrt_r * a2 + sqrt_t * phase * b2)
-    total = _mode_a_occupations(dim_a, dim_b) + _mode_b_occupations(dim_a, dim_b)
-    keep = total <= min(dim_a, dim_b) - 2
+    keep = sum(_occupations(dim_a, dim_b)) <= min(dim_a, dim_b) - 2
     block = np.ix_(keep, keep)
     return max(np.max(np.abs(res_a[block])), np.max(np.abs(res_b[block])))

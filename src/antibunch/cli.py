@@ -1,7 +1,8 @@
 """Command-line front end: ad-hoc g2 evaluation, figure datasets, selftest.
 
-Exit codes: 0 success, 2 undefined g2 (output below the intensity floor)
-or a usage error (argparse), 3 configuration error, 4 selftest failure.
+Exit codes: 0 success, 2 usage error (argparse), 3 configuration error
+(a malformed config or a value the library refuses), 4 selftest failure,
+5 undefined g2 (output below the intensity floor).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import beamsplitter, figures, fock, lindblad, states
 from .beamsplitter import BeamsplitterParams
-from .errors import AntibunchError, ConfigError, TruncationError, VacuumOutputError
+from .errors import AntibunchError, ConfigError, VacuumOutputError
 
 # kind -> required fields (every spec may also carry an optional "dim")
 _STATE_FIELDS = {
@@ -40,52 +41,59 @@ def _as_complex(value, field: str) -> complex:
     raise ConfigError(f"{field!r} must be a number or an [re, im] pair, got {value!r}")
 
 
+def _check_keys(obj, required, optional, where: str) -> None:
+    """Refuse obj unless it is a JSON object with every required key and no other."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
+    unknown = set(obj) - set(required) - set(optional)
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}; "
+                          f"accepted: {sorted({*required, *optional})}")
+    missing = set(required) - set(obj)
+    if missing:
+        raise ConfigError(f"missing keys {sorted(missing)} in {where}")
+
+
 def build_state(spec: dict, dim_override: int | None = None) -> fock.FockVector:
     """Construct a pure state from a JSON spec; unknown keys are rejected."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"state spec must be an object with a 'kind', got {spec!r}")
-    d = dict(spec)
-    kind = d.pop("kind")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind not in _STATE_FIELDS:
-        raise ConfigError(f"unknown state kind {kind!r}; known: {sorted(_STATE_FIELDS)}")
-    required = _STATE_FIELDS[kind]
-    unknown = set(d) - required - {"dim"}
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {kind!r} state spec")
-    missing = required - set(d)
-    if missing:
-        raise ConfigError(f"missing keys {sorted(missing)} in {kind!r} state spec")
-    dim = dim_override if dim_override is not None else d.get("dim")
+        raise ConfigError(f"unknown state kind in {spec!r}; known: {sorted(_STATE_FIELDS)}")
+    _check_keys(spec, _STATE_FIELDS[kind] | {"kind"}, {"dim"}, f"{kind!r} state spec")
+    dim = dim_override if dim_override is not None else spec.get("dim")
+    if dim is not None and (type(dim) is not int or dim < 2):
+        raise ConfigError(f"dim must be an integer >= 2, got {dim!r}")
+    # dim is now None or an int >= 2, so `dim or default` defaults only a missing dim.
 
     if kind == "fock":
-        n = int(d["n"])
+        n = int(spec["n"])
         return fock.basis(dim or max(n + 1, 4), n)
     if kind == "coherent":
-        alpha = _as_complex(d["alpha"], "alpha")
+        alpha = _as_complex(spec["alpha"], "alpha")
         return states.coherent(alpha, dim or fock.default_dim(alpha))
     if kind == "phase_modified":
-        alpha = _as_complex(d["alpha"], "alpha")
+        alpha = _as_complex(spec["alpha"], "alpha")
         return states.phase_modified_coherent(alpha, dim or fock.default_dim(alpha))
     if kind == "kerr_coherent":
-        alpha = _as_complex(d["alpha"], "alpha")
-        params = states.KerrParams(alpha=alpha, chi_t=float(d["chi_t"]))
+        alpha = _as_complex(spec["alpha"], "alpha")
+        params = states.KerrParams(alpha=alpha, chi_t=float(spec["chi_t"]))
         return states.kerr_coherent(params, dim or fock.default_dim(alpha))
     if kind == "vacuum_two_photon":
-        return states.vacuum_two_photon(float(d["c2"]), dim or 3)
+        return states.vacuum_two_photon(float(spec["c2"]), dim or 3)
     if kind == "cat":
-        alpha_sch = _as_complex(d["alpha_sch"], "alpha_sch")
-        params = states.CatParams(alpha_sch=alpha_sch, parity=int(d["parity"]))
+        alpha_sch = _as_complex(spec["alpha_sch"], "alpha_sch")
+        params = states.CatParams(alpha_sch=alpha_sch, parity=int(spec["parity"]))
         return states.cat_state(params, dim or fock.default_dim(alpha_sch))
     if kind == "squeezed_vacuum":
-        xi = _as_complex(d["xi"], "xi")
+        xi = _as_complex(spec["xi"], "xi")
         return states.squeezed_vacuum(xi, dim or max(24, fock.squeeze_dim(xi)))
-    xi = _as_complex(d["xi"], "xi")
-    alpha = _as_complex(d["alpha"], "alpha")
+    xi = _as_complex(spec["xi"], "xi")
+    alpha = _as_complex(spec["alpha"], "alpha")
     default = max(fock.default_dim(alpha), fock.squeeze_dim(xi))
     return states.squeezed_coherent(alpha, xi, dim or default)
 
 
-def _load_config(path: Path | None) -> dict:
+def _load_config(path: Path | None) -> object:
     if path is None:
         raise ConfigError("this command requires --config FILE")
     try:
@@ -96,32 +104,21 @@ def _load_config(path: Path | None) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
     return cfg
 
 
 def _cmd_g2(args) -> int:
     cfg = _load_config(args.config)
-    if "state" in cfg:
-        unknown = set(cfg) - {"state"}
-        if unknown:
-            raise ConfigError(f"unknown top-level keys {sorted(unknown)} beside 'state'")
+    if isinstance(cfg, dict) and "state" in cfg:
+        _check_keys(cfg, {"state"}, (), "config")
         psi = build_state(cfg["state"], args.dim)
         g2 = beamsplitter.g2_from_coeffs(psi)
         p_n = psi.probabilities()
         n_mean = float(np.arange(p_n.size) @ p_n)
     else:
-        required = {"state_a", "state_b", "beamsplitter"}
-        unknown = set(cfg) - required
-        if unknown:
-            raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
-        missing = required - set(cfg)
-        if missing:
-            raise ConfigError(f"missing top-level keys {sorted(missing)}")
+        _check_keys(cfg, {"state_a", "state_b", "beamsplitter"}, (), "config")
         bs = cfg["beamsplitter"]
-        if not isinstance(bs, dict) or set(bs) - {"R", "phi"} or "R" not in bs:
-            raise ConfigError("beamsplitter spec must be {'R': ..., 'phi': ...}")
+        _check_keys(bs, {"R"}, {"phi"}, "beamsplitter spec")
         params = BeamsplitterParams(R=float(bs["R"]), phi=float(bs.get("phi", 0.0)))
         psi_a = build_state(cfg["state_a"], args.dim)
         psi_b = build_state(cfg["state_b"], args.dim)
@@ -159,12 +156,7 @@ def _cmd_figure(args) -> int:
     overrides = {}
     if args.config is not None:
         overrides = _load_config(args.config)
-        allowed = set(inspect.signature(builder).parameters)
-        unknown = set(overrides) - allowed
-        if unknown:
-            raise ConfigError(
-                f"unknown {args.name} parameters {sorted(unknown)}; accepted: {sorted(allowed)}"
-            )
+        _check_keys(overrides, (), inspect.signature(builder).parameters, f"{args.name} config")
     overrides.update(_dim_override_kwargs(builder, args.dim))
     result = builder(**overrides)
     out_dir = Path(args.out)
@@ -359,19 +351,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "g2":
-            return _cmd_g2(args)
-        if args.command == "figure":
-            return _cmd_figure(args)
+    if args.command == "selftest":
         return _cmd_selftest(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
+    try:
+        return _cmd_g2(args) if args.command == "g2" else _cmd_figure(args)
     except VacuumOutputError as exc:
         print(f"undefined g2: {exc}", file=sys.stderr)
-        return 2
-    except TruncationError as exc:
+        return 5
+    except ValueError as exc:
+        # ConfigError, TruncationError, and every other ValueError the
+        # library raises to refuse a value taken from the config or the
+        # command line (a negative photon number, a parity of 2, a grid of
+        # no points, ...).
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 

@@ -26,16 +26,6 @@ from .fock import default_dim, squeeze_dim
 from .optimize import Axis, SweepSpec
 from .states import CatParams, KerrParams
 
-FIGURES: dict[str, Callable[..., "FigureResult"]] = {}
-
-
-def register_figure(name: str):
-    def deco(fn):
-        FIGURES[name] = fn
-        return fn
-
-    return deco
-
 
 @dataclass(frozen=True)
 class FigureResult:
@@ -90,13 +80,11 @@ def phase_modified_mix(R, phi, alpha=0.3, dim=16):
 
 
 @optimize.broadcasting
-def kerr_mix(R, phi, alpha=0.3, chi_t=0.05, dim=16, alpha_b=None):
-    """g2 of output A: Kerr-evolved coherent vs coherent (same alpha unless decoupled)."""
+def kerr_mix(R, phi, alpha=0.3, chi_t=0.05, dim=16):
+    """g2 of output A: Kerr-evolved coherent vs coherent of the same alpha."""
     dim = int(dim)
     return _output(lambda a, c: states.kerr_coherent(KerrParams(alpha=a, chi_t=c), dim),
-                   (alpha, chi_t),
-                   lambda a: states.coherent(a, dim), (alpha if alpha_b is None else alpha_b,),
-                   R, phi)
+                   (alpha, chi_t), lambda a: states.coherent(a, dim), (alpha,), R, phi)
 
 
 @optimize.broadcasting
@@ -132,27 +120,13 @@ def squeezed_mix(r=0.05, alpha=0.5, phi=1.0, R=0.1, omega=0.0, dim_a=None, dim_b
     return _output(squeezed, (r, omega), coherent, (alpha,), R, phi)
 
 
-for _name, _fn in (
-    ("phase_modified_mix", phase_modified_mix),
-    ("kerr_mix", kerr_mix),
-    ("two_photon_mix", two_photon_mix),
-    ("cat_mix", cat_mix),
-    ("squeezed_mix", squeezed_mix),
-):
-    optimize.register_objective(_name, _fn)
+optimize.OBJECTIVE_REGISTRY.update(
+    phase_modified_mix=phase_modified_mix, kerr_mix=kerr_mix, two_photon_mix=two_photon_mix,
+    cat_mix=cat_mix, squeezed_mix=squeezed_mix,
+)
 
 
 # ------------------------------------------------------------------ builders
-
-def _on_bound(curve: list, inner: tuple[Axis, ...]) -> list[float]:
-    """Scan values whose inner argmin sits on a search bound.
-
-    Within refine_min's xatol (1e-5).  Such an optimum is set by the
-    search range (or by the truncation it reaches), not by interference.
-    """
-    return [s for s, _, _, x in curve
-            if any(min(abs(v - ax.lo), abs(v - ax.hi)) <= 1e-5 for v, ax in zip(x, inner))]
-
 
 def _map(name: str, axes: tuple[Axis, Axis], objective: str, fixed: dict,
          params: dict) -> FigureResult:
@@ -168,7 +142,25 @@ def _map(name: str, axes: tuple[Axis, Axis], objective: str, fixed: dict,
                         rows, _meta(name, params, t0, extra))
 
 
-@register_figure("fig2")
+def _curve(name: str, columns: tuple[str, ...], scan: Axis, inner: tuple[Axis, ...],
+           objective: str, fixed: dict, refine: bool, params: dict,
+           extra: Callable[[float], tuple] = lambda s: ()) -> FigureResult:
+    """One row per scan value of min_curve, as _map gives one per cell.
+
+    A row is (scan value, min g2, n_mean there, *inner argmin,
+    *extra(scan value), defined).  meta's on_bound lists the scan values
+    whose argmin sits within optimize.XATOL, the refinement's tolerance, of
+    a search bound: such an optimum is set by the search range (or by the
+    truncation it reaches), not by interference.
+    """
+    t0 = time.perf_counter()
+    curve = optimize.min_curve(objective, scan, inner, fixed=fixed, refine=refine)
+    rows = [(s, g2, n_at, *x, *extra(s), int(np.isfinite(g2))) for s, g2, n_at, x in curve]
+    names, bounds = [ax.name for ax in inner], [(ax.lo, ax.hi) for ax in inner]
+    on_bound = [s for s, _, _, x in curve if optimize.on_bound(names, x, bounds)]
+    return FigureResult(name, columns, rows, _meta(name, params, t0, {"on_bound": on_bound}))
+
+
 def fig2(alpha=0.3, dim=16, grid=101, r_lo=0.01, r_hi=0.5, phi_lo=0.0, phi_hi=2.0):
     """g2 map over (R, phi) for the phase-modified coherent state."""
     params = {"alpha": alpha, "dim": dim, "grid": grid,
@@ -177,7 +169,6 @@ def fig2(alpha=0.3, dim=16, grid=101, r_lo=0.01, r_hi=0.5, phi_lo=0.0, phi_hi=2.
                 "phase_modified_mix", {"alpha": alpha, "dim": dim}, params)
 
 
-@register_figure("fig3a")
 def fig3a(alpha=0.3, chi_t=0.05, dim=16, grid=101,
           r_lo=0.01, r_hi=0.5, phi_lo=0.0, phi_hi=2.0):
     """g2 map over (R, phi) for the Kerr-evolved coherent state."""
@@ -187,30 +178,17 @@ def fig3a(alpha=0.3, chi_t=0.05, dim=16, grid=101,
                 "kerr_mix", {"alpha": alpha, "chi_t": chi_t, "dim": dim}, params)
 
 
-@register_figure("fig3b")
 def fig3b(alpha_lo=0.05, alpha_hi=0.5, count=10, chi_t=0.05, dim=16,
-          inner_grid=41, alpha_b=None, refine=True):
-    """Optimal g2 and the photon number it costs, versus input amplitude.
-
-    Both input amplitudes follow the scanned alpha unless alpha_b pins the
-    coherent arm separately.
-    """
-    t0 = time.perf_counter()
-    inner = (Axis("R", 0.01, 0.5, inner_grid), Axis("phi", 0.0, 2.0, inner_grid))
-    fixed = {"chi_t": chi_t, "dim": dim}
-    if alpha_b is not None:
-        fixed["alpha_b"] = alpha_b
-    curve = optimize.min_curve("kerr_mix", Axis("alpha", alpha_lo, alpha_hi, count), inner,
-                               fixed=fixed, refine=refine)
-    rows = [(a, g2, n_at, x[0], x[1], int(np.isfinite(g2))) for a, g2, n_at, x in curve]
+          inner_grid=41, refine=True):
+    """Optimal g2 and the photon number it costs, versus the amplitude of both inputs."""
     params = {"alpha_range": [alpha_lo, alpha_hi], "count": count, "chi_t": chi_t,
-              "dim": dim, "inner_grid": inner_grid, "alpha_b": alpha_b,
-              "refine": bool(refine)}
-    return FigureResult("fig3b", ("alpha", "min_g2", "n_mean", "R_opt", "phi_opt", "defined"),
-                        rows, _meta("fig3b", params, t0, {"on_bound": _on_bound(curve, inner)}))
+              "dim": dim, "inner_grid": inner_grid, "refine": bool(refine)}
+    return _curve("fig3b", ("alpha", "min_g2", "n_mean", "R_opt", "phi_opt", "defined"),
+                  Axis("alpha", alpha_lo, alpha_hi, count),
+                  (Axis("R", 0.01, 0.5, inner_grid), Axis("phi", 0.0, 2.0, inner_grid)),
+                  "kerr_mix", {"chi_t": chi_t, "dim": dim}, refine, params)
 
 
-@register_figure("fig4")
 def fig4(c2_lo=0.01, c2_hi=0.5, count=50, R=0.5, phi=0.5, dim=16,
          alpha_lo=0.02, alpha_hi=2.0, inner_count=80, refine=True):
     """Optimal g2 versus two-photon weight on a 50:50 splitter, alpha optimized.
@@ -218,20 +196,16 @@ def fig4(c2_lo=0.01, c2_hi=0.5, count=50, R=0.5, phi=0.5, dim=16,
     input_g2 = 1/(2 c2^2) is the two-photon arm's own g2; it is NaN at
     c2 = 0, where that arm is the vacuum.
     """
-    t0 = time.perf_counter()
-    inner = (Axis("alpha", alpha_lo, alpha_hi, inner_count),)
-    curve = optimize.min_curve("two_photon_mix", Axis("c2", c2_lo, c2_hi, count), inner,
-                               fixed={"R": R, "phi": phi, "dim": dim}, refine=refine)
-    rows = [(c2, g2, n_at, x[0], 0.5 / (c2 * c2) if c2 else np.nan, int(np.isfinite(g2)))
-            for c2, g2, n_at, x in curve]
     params = {"c2_range": [c2_lo, c2_hi], "count": count, "R": R, "phi": phi,
               "dim": dim, "alpha_range": [alpha_lo, alpha_hi],
               "inner_count": inner_count, "refine": bool(refine)}
-    return FigureResult("fig4", ("c2", "min_g2", "n_mean", "alpha_opt", "input_g2", "defined"),
-                        rows, _meta("fig4", params, t0, {"on_bound": _on_bound(curve, inner)}))
+    return _curve("fig4", ("c2", "min_g2", "n_mean", "alpha_opt", "input_g2", "defined"),
+                  Axis("c2", c2_lo, c2_hi, count),
+                  (Axis("alpha", alpha_lo, alpha_hi, inner_count),),
+                  "two_photon_mix", {"R": R, "phi": phi, "dim": dim}, refine, params,
+                  extra=lambda c2: (0.5 / (c2 * c2) if c2 else np.nan,))
 
 
-@register_figure("fig5")
 def fig5(sch_lo=0.02, sch_hi=0.3, sch_count=57, alpha_lo=0.01, alpha_hi=0.3,
          alpha_count=59, parity=1, R=0.5, phi=0.5, dim=16):
     """g2 map over (cat amplitude, coherent amplitude) on a 50:50 splitter."""
@@ -243,7 +217,6 @@ def fig5(sch_lo=0.02, sch_hi=0.3, sch_count=57, alpha_lo=0.01, alpha_hi=0.3,
                 "cat_mix", {"parity": parity, "R": R, "phi": phi, "dim": dim}, params)
 
 
-@register_figure("fig6")
 def fig6(r_lo=0.002, r_hi=0.018, r_count=13, alpha_lo=0.1, alpha_hi=4.0,
          alpha_count=41, T=0.9, phi=1.0, omega=0.0, dim_a=24, dim_b=None):
     """g2 map over (squeezing r, coherent alpha) at fixed high transmission."""
@@ -257,7 +230,6 @@ def fig6(r_lo=0.002, r_hi=0.018, r_count=13, alpha_lo=0.1, alpha_hi=4.0,
                 params)
 
 
-@register_figure("fig7")
 def fig7(tau_max=10.0, n_tau=201, U=0.01, J=6.2, dim_single=12,
          dims_coupled=(12, 12), tune_dims_coupled=(8, 8)):
     """Delayed correlations of the two cavity schemes at their tuned optima."""
@@ -291,6 +263,12 @@ def fig7(tau_max=10.0, n_tau=201, U=0.01, J=6.2, dim_single=12,
     }
     return FigureResult("fig7", ("tau", "g2_single", "g2_coupled"),
                         rows, _meta("fig7", params, t0, extra))
+
+
+FIGURES: dict[str, Callable[..., FigureResult]] = {
+    "fig2": fig2, "fig3a": fig3a, "fig3b": fig3b, "fig4": fig4,
+    "fig5": fig5, "fig6": fig6, "fig7": fig7,
+}
 
 
 # ----------------------------------------------------------------- CSV plumbing

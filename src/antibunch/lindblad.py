@@ -407,13 +407,6 @@ _CERTIFIABILITY_GUARD = 2e-8
 _TAU_PROBE = np.linspace(0.0, 20.0, 201)
 
 
-def _on_bound(names: Sequence[str], x: Sequence[float], bounds) -> list[str]:
-    # Parameters within 1e-9 of their search bound: there the tuned g2 is set
-    # by the search range, not by the physics.
-    hits = [name for name, v, (lo, hi) in zip(names, x, bounds) if min(v - lo, hi - v) <= 1e-9]
-    return list(dict.fromkeys(hits))
-
-
 def tune_for_antibunching(
     model_family: str,
     U: float = 0.01,
@@ -430,7 +423,9 @@ def tune_for_antibunching(
     (8, 8) for coupled, kept because fig7's tuned point depends on it) and
     the reported g2 is re-evaluated at dims.  Returns the parameter set, the
     achieved g2(0), the mix dict to pass to g2_tau, and on_bound: the names
-    of the parameters that sit within 1e-9 of their search bound.
+    of the parameters that sit within optimize.XATOL, the refinement's
+    tolerance, of their search bound; there the tuned g2 is set by the
+    search range, not by the physics.
     """
     if model_family not in ("single", "coupled"):
         raise ValueError(f"unknown model family {model_family!r}")
@@ -471,7 +466,7 @@ def tune_for_antibunching(
             warnings.warn("no tuned single-cavity point had a non-ringing curve")
         achieved = static_g2(final, mix=mix)
         return {**params, "U": U, "g2": achieved, "mix": mix, "dims": dims,
-                "on_bound": _on_bound(("F", "Delta", "beta", "beta"), x, slab)}
+                "on_bound": optimize.on_bound(("F", "Delta", "beta", "beta"), x, slab)}
 
     # The coupled family has no homodyne dial, but the drive amplitude still
     # scales the measured intensity (n_ss ~ F^2, strongly suppressed by the
@@ -497,4 +492,4 @@ def tune_for_antibunching(
     final = build_coupled_cavities(U, J, params["F"], params["Delta"], dims)
     achieved = static_g2(final, mix=None)
     return {**params, "U": U, "J": J, "g2": achieved, "mix": None, "dims": dims,
-            "on_bound": _on_bound(("F", "Delta"), x, bounds)}
+            "on_bound": optimize.on_bound(("F", "Delta"), x, bounds)}

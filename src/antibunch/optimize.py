@@ -29,15 +29,15 @@ Objective = Callable[..., tuple[float, float]]
 # name its objective.
 OBJECTIVE_REGISTRY: dict[str, Objective] = {}
 
+# refine_min's simplex tolerance on the parameters: the resolution of every
+# refined optimum, and so the distance within which one counts as on a bound.
+XATOL = 1e-5
+
 
 def broadcasting(fn: Objective) -> Objective:
     """Mark an objective that evaluates open-grid array parameters in one call."""
     fn.broadcasts = True
     return fn
-
-
-def register_objective(name: str, fn: Objective) -> None:
-    OBJECTIVE_REGISTRY[name] = fn
 
 
 def resolve_objective(objective) -> Objective:
@@ -93,13 +93,23 @@ class SweepResult:
     g2: np.ndarray          # nan where undefined
     n_mean: np.ndarray      # nan where undefined
     defined: np.ndarray     # bool mask
-    argmin: tuple[float, ...]
-    min_g2: float
-    n_at_min: float
 
     def argmin_indices(self) -> tuple[int, ...]:
+        """Grid indices of the least g2 among the defined cells."""
         masked = np.where(self.defined, self.g2, np.inf)
         return np.unravel_index(int(np.argmin(masked)), self.g2.shape)
+
+    @property
+    def argmin(self) -> tuple[float, ...]:
+        return tuple(float(v[i]) for v, i in zip(self.axis_values, self.argmin_indices()))
+
+    @property
+    def min_g2(self) -> float:
+        return float(self.g2[self.argmin_indices()])
+
+    @property
+    def n_at_min(self) -> float:
+        return float(self.n_mean[self.argmin_indices()])
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
@@ -125,21 +135,9 @@ def sweep(spec: SweepSpec) -> SweepResult:
     n_mean[~defined] = np.nan
     if not defined.any():
         raise VacuumOutputError("g2 undefined on every grid cell")
-    masked = np.where(defined, g2, np.inf)
-    best = np.unravel_index(int(np.argmin(masked)), shape)
-    argmin = tuple(float(vals[i]) for vals, i in zip(values, best))
     for arr in (g2, n_mean, defined):
         arr.setflags(write=False)
-    return SweepResult(
-        spec=spec,
-        axis_values=values,
-        g2=g2,
-        n_mean=n_mean,
-        defined=defined,
-        argmin=argmin,
-        min_g2=float(g2[best]),
-        n_at_min=float(n_mean[best]),
-    )
+    return SweepResult(spec=spec, axis_values=values, g2=g2, n_mean=n_mean, defined=defined)
 
 
 def refine_min(
@@ -169,13 +167,25 @@ def refine_min(
         x0,
         method="Nelder-Mead",
         bounds=bounds,
-        options={"xatol": 1e-5, "fatol": fatol, "maxiter": 4000, "maxfev": maxfev},
+        options={"xatol": XATOL, "fatol": fatol, "maxiter": 4000, "maxfev": maxfev},
     )
     if not res.success:
         warnings.warn(f"refine_min stopped early: {res.message}; returning best found")
     if res.fun <= f0:
         return tuple(float(v) for v in res.x), float(res.fun)
     return tuple(float(v) for v in x0), f0
+
+
+def on_bound(names: Sequence[str], x: Sequence[float],
+             bounds: Sequence[tuple[float, float]]) -> list[str]:
+    """Names of the coordinates of x within XATOL of their search bound, each once.
+
+    A refined optimum there is set by the search range, not by the
+    objective.  A NaN coordinate is never on a bound.
+    """
+    hits = [name for name, v, (lo, hi) in zip(names, x, bounds)
+            if min(abs(v - lo), abs(hi - v)) <= XATOL]
+    return list(dict.fromkeys(hits))
 
 
 def min_curve(

@@ -120,9 +120,10 @@ class TestG2Command:
         assert "\n" in out.strip()
         assert json.loads(out)["g2"] == pytest.approx(1.0, abs=1e-8)
 
-    def test_vacuum_exits_2(self, tmp_path):
+    def test_vacuum_exits_5(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"state": {"kind": "fock", "n": 0}})
-        assert cli.main(["g2", "--config", str(cfg)]) == 2
+        assert cli.main(["g2", "--config", str(cfg)]) == 5
+        assert capsys.readouterr().err.startswith("undefined g2: ")
 
     def test_missing_config_exits_3(self):
         assert cli.main(["g2"]) == 3
@@ -149,6 +150,51 @@ class TestG2Command:
         assert cli.main(["g2", "--config", str(cfg), "--dim", "8"]) == 3
         err = capsys.readouterr().err
         assert "retry with dim" in err
+
+
+class TestRefusedValues:
+    # Each value is one the library refuses; the CLI reports it as a
+    # one-line config error (exit 3), never as a traceback or a silent default.
+    @pytest.mark.parametrize(
+        "state, extra",
+        [({"kind": "coherent", "alpha": 0.3, "dim": -3}, []),
+         ({"kind": "coherent", "alpha": 0.3, "dim": 2.5}, []),
+         ({"kind": "coherent", "alpha": 0.3, "dim": 0}, []),
+         ({"kind": "coherent", "alpha": 0.3}, ["--dim", "0"]),
+         ({"kind": "fock", "n": -1}, []),
+         ({"kind": "cat", "alpha_sch": 0.2, "parity": 2}, []),
+         ({"kind": "vacuum_two_photon", "c2": 1.5}, [])],
+        ids=["dim-negative", "dim-fractional", "dim-zero", "dim-flag-zero", "fock-n-negative",
+             "cat-parity-2", "c2-above-1"],
+    )
+    def test_g2_state_value(self, tmp_path, capsys, state, extra):
+        cfg = write_config(tmp_path, {"state": state})
+        assert cli.main(["g2", "--config", str(cfg), *extra]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "config, extra",
+        [(None, ["--dim", "0"]), ({"grid": 0}, [])],
+        ids=["dim-flag-zero", "grid-zero"],
+    )
+    def test_figure_value(self, tmp_path, capsys, config, extra):
+        argv = ["figure", "fig2", "--out", str(tmp_path), *extra]
+        if config is not None:
+            argv += ["--config", str(write_config(tmp_path, config))]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("fig2.*"))
+
+    def test_pair_beamsplitter_keys(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "state_a": {"kind": "coherent", "alpha": 0.3},
+            "state_b": {"kind": "coherent", "alpha": 0.3},
+            "beamsplitter": {"phi": 0.5, "T": 0.5},
+        })
+        assert cli.main(["g2", "--config", str(cfg)]) == 3
+        assert "unknown keys ['T'] in beamsplitter spec" in capsys.readouterr().err
 
 
 class TestFigureCommand:

@@ -41,6 +41,13 @@ class TestRegistry:
         ):
             assert name in OBJECTIVE_REGISTRY
 
+    def test_every_entry_is_the_figures_function_of_its_name(self):
+        from antibunch.optimize import OBJECTIVE_REGISTRY
+
+        for registry in (FIGURES, OBJECTIVE_REGISTRY):
+            for name, fn in registry.items():
+                assert fn is getattr(figures, name)
+
 
 # Two swept axes (name, largest value) and fixed parameters per objective;
 # every axis may start at 0, where alpha = 0 or alpha_sch = 0 gives vacuum

@@ -6,9 +6,11 @@ import pytest
 from antibunch import optimize
 from antibunch.errors import VacuumOutputError
 from antibunch.optimize import (
+    XATOL,
     Axis,
     SweepSpec,
     min_curve,
+    on_bound,
     refine_min,
     resolve_objective,
     sweep,
@@ -173,6 +175,30 @@ class TestRefineMin:
     def test_budget_exhaustion_warns(self):
         with pytest.warns(UserWarning, match="refine_min stopped early"):
             refine_min(lambda v: (v[0] - 7.0) ** 2, [0.0], maxfev=3)
+
+
+class TestOnBound:
+    BOUNDS = [(-1.0, 2.0)]
+
+    @pytest.mark.parametrize("v", [-1.0, 2.0, -1.0 + XATOL / 2, 2.0 - XATOL / 2],
+                             ids=["on-lo", "on-hi", "within-xatol-lo", "within-xatol-hi"])
+    def test_within_xatol_counts(self, v):
+        assert on_bound(["x"], [v], self.BOUNDS) == ["x"]
+
+    @pytest.mark.parametrize("v", [-1.0 + 2 * XATOL, 2.0 - 2 * XATOL, 0.5, np.nan],
+                             ids=["2xatol-inside-lo", "2xatol-inside-hi", "interior", "nan"])
+    def test_farther_inside_or_nan_does_not(self, v):
+        assert on_bound(["x"], [v], self.BOUNDS) == []
+
+    def test_names_each_parameter_once_in_order(self):
+        bounds = [(0.0, 1.0), (-3.0, 3.0), (-3.0, 3.0), (0.0, 1.0)]
+        x = (0.5, 3.0, -3.0, 1.0)
+        assert on_bound(("F", "beta", "beta", "G"), x, bounds) == ["beta", "G"]
+
+    def test_bounded_refinement_at_the_bound_is_flagged(self):
+        # a minimum 2 xatol outside the bound: the bounded simplex ends on it
+        x, _ = refine_min(lambda v: (v[0] - 1.0 - 2 * XATOL) ** 2, [0.5], bounds=[(0.0, 1.0)])
+        assert on_bound(["x"], x, [(0.0, 1.0)]) == ["x"]
 
 
 class TestMinCurve:

@@ -41,6 +41,23 @@ def _as_complex(value, field: str) -> complex:
     raise ConfigError(f"{field!r} must be a number or an [re, im] pair, got {value!r}")
 
 
+def _as_int(value, field: str) -> int:
+    """A JSON integer; a fractional or boolean value is refused, never truncated."""
+    if type(value) is not int:
+        raise ConfigError(f"{field!r} must be an integer, got {value!r}")
+    return value
+
+
+def _matches(value, default) -> bool:
+    """Whether a JSON override has the type of a builder's default; an int passes for a float."""
+    if isinstance(default, tuple):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(map(_matches, value, default)))
+    if default is None:  # an optional truncation (fig6's dim_b)
+        return value is None or type(value) is int
+    return type(value) in {float: (int, float)}.get(type(default), (type(default),))
+
+
 def _check_keys(obj, required, optional, where: str) -> None:
     """Refuse obj unless it is a JSON object with every required key and no other."""
     if not isinstance(obj, dict):
@@ -66,7 +83,7 @@ def build_state(spec: dict, dim_override: int | None = None) -> fock.FockVector:
     # dim is now None or an int >= 2, so `dim or default` defaults only a missing dim.
 
     if kind == "fock":
-        n = int(spec["n"])
+        n = _as_int(spec["n"], "n")
         return fock.basis(dim or max(n + 1, 4), n)
     if kind == "coherent":
         alpha = _as_complex(spec["alpha"], "alpha")
@@ -82,7 +99,7 @@ def build_state(spec: dict, dim_override: int | None = None) -> fock.FockVector:
         return states.vacuum_two_photon(float(spec["c2"]), dim or 3)
     if kind == "cat":
         alpha_sch = _as_complex(spec["alpha_sch"], "alpha_sch")
-        params = states.CatParams(alpha_sch=alpha_sch, parity=int(spec["parity"]))
+        params = states.CatParams(alpha_sch=alpha_sch, parity=_as_int(spec["parity"], "parity"))
         return states.cat_state(params, dim or fock.default_dim(alpha_sch))
     if kind == "squeezed_vacuum":
         xi = _as_complex(spec["xi"], "xi")
@@ -156,7 +173,13 @@ def _cmd_figure(args) -> int:
     overrides = {}
     if args.config is not None:
         overrides = _load_config(args.config)
-        _check_keys(overrides, (), inspect.signature(builder).parameters, f"{args.name} config")
+        params = inspect.signature(builder).parameters
+        _check_keys(overrides, (), params, f"{args.name} config")
+        for key, value in overrides.items():
+            default = params[key].default
+            if not _matches(value, default):
+                raise ConfigError(f"{key!r} in {args.name} config must have the type of "
+                                  f"its default {default!r}, got {value!r}")
     overrides.update(_dim_override_kwargs(builder, args.dim))
     result = builder(**overrides)
     out_dir = Path(args.out)
@@ -309,9 +332,7 @@ def _cmd_selftest(args) -> int:
     for name, check in _selftest_checks(args.dim):
         try:
             ok, detail = check()
-        except AntibunchError as exc:
-            ok, detail = False, str(exc)
-        except ValueError as exc:
+        except (AntibunchError, ValueError) as exc:
             ok, detail = False, str(exc)
         status = "PASS" if ok else "FAIL"
         if not ok:
@@ -351,10 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "selftest":
-        return _cmd_selftest(args)
+    commands = {"g2": _cmd_g2, "figure": _cmd_figure, "selftest": _cmd_selftest}
     try:
-        return _cmd_g2(args) if args.command == "g2" else _cmd_figure(args)
+        if args.dim is not None and args.dim < 2:
+            raise ConfigError(f"--dim must be an integer >= 2, got {args.dim}")
+        return commands[args.command](args)
     except VacuumOutputError as exc:
         print(f"undefined g2: {exc}", file=sys.stderr)
         return 5

@@ -3,9 +3,10 @@
 Each builder returns a FigureResult (column names, rows, reproducibility
 metadata); file writing lives in the CLI.  The g2 pipelines are registered
 in the optimizer's objective registry under stable names so sweep specs can
-name them.  They broadcast: given open-grid arrays they build one input
-state and one moment table per distinct value on each axis and evaluate
-the whole map as one array expression; given scalars they return floats.
+name them.  Given open-grid arrays they build one input state and one
+moment table per distinct value on each axis and evaluate the whole map as
+one array expression, with NaN on dark cells; given scalars they return
+floats and raise VacuumOutputError on a dark output.
 
 Phases follow the normalized-to-pi convention of the beamsplitter module in
 all inputs and outputs; radians never appear in emitted data.
@@ -71,7 +72,6 @@ def _output(build_a, args_a, build_b, args_b, R, phi):
     return _moment_g2(_tables(build_a, *args_a), _tables(build_b, *args_b), R, phi)
 
 
-@optimize.broadcasting
 def phase_modified_mix(R, phi, alpha=0.3, dim=16):
     """g2 of output A: coherent state with rotated two-photon amplitude vs coherent."""
     dim = int(dim)
@@ -79,7 +79,6 @@ def phase_modified_mix(R, phi, alpha=0.3, dim=16):
                    lambda a: states.coherent(a, dim), (alpha,), R, phi)
 
 
-@optimize.broadcasting
 def kerr_mix(R, phi, alpha=0.3, chi_t=0.05, dim=16):
     """g2 of output A: Kerr-evolved coherent vs coherent of the same alpha."""
     dim = int(dim)
@@ -87,7 +86,6 @@ def kerr_mix(R, phi, alpha=0.3, chi_t=0.05, dim=16):
                    (alpha, chi_t), lambda a: states.coherent(a, dim), (alpha,), R, phi)
 
 
-@optimize.broadcasting
 def two_photon_mix(alpha, c2, R=0.5, phi=0.5, dim=16):
     """g2 of output A: vacuum+two-photon superposition vs coherent."""
     dim = int(dim)
@@ -95,7 +93,6 @@ def two_photon_mix(alpha, c2, R=0.5, phi=0.5, dim=16):
                    lambda a: states.coherent(a, dim), (alpha,), R, phi)
 
 
-@optimize.broadcasting
 def cat_mix(alpha_sch, alpha, parity=1, R=0.5, phi=0.5, dim=16):
     """g2 of output A: even/odd cat vs coherent."""
     dim = int(dim)
@@ -104,7 +101,6 @@ def cat_mix(alpha_sch, alpha, parity=1, R=0.5, phi=0.5, dim=16):
                    lambda a: states.coherent(a, dim), (alpha,), R, phi)
 
 
-@optimize.broadcasting
 def squeezed_mix(r=0.05, alpha=0.5, phi=1.0, R=0.1, omega=0.0, dim_a=None, dim_b=None):
     """g2 of output A: squeezed vacuum (xi = r e^{i omega}) vs coherent.
 

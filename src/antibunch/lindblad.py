@@ -9,10 +9,11 @@ field equal those of the displaced mode up to a scale that cancels in g2.
 g2(tau) uses the quantum regression theorem: seed rho1 = d rho_ss d+ /
 Tr(d rho_ss d+), evolve tau under the Liouvillian, read Tr(d+ d rho1(tau));
 with that seed normalization g2(tau) = Tr(d+ d rho1(tau)) / Tr(d+ d rho_ss).
-The seed evolves by exact exponential steps, one per tau interval, on the
-steady state's excitation ladder: the states of total Fock number <= K, with
-K chosen from the returned steady state so that its population above K is
-negligible against the measured intensity.
+One interval-mode expm_multiply call (Al-Mohy and Higham, SIAM J. Sci.
+Comput. 33, 488 (2011)) propagates the seed to every point of a uniform tau
+grid on the steady state's excitation ladder: the states of total Fock
+number <= K, with K chosen from the returned steady state so that its
+population above K is negligible against the measured intensity.
 
 Steady states come from one of two kernels: the sparse LU for small
 single-mode models, the operator-form GMRES for everything else.
@@ -336,7 +337,7 @@ class CorrelationCurve:
         object.__setattr__(self, "g2_values", g2)
 
 
-# g2_tau steps on the states of total excitation <= K, the smallest K whose
+# g2_tau works on the states of total excitation <= K, the smallest K whose
 # shells above hold at most this fraction of n_ss in rho_ss's population.
 # Against full-space propagation the curve is then within 5e-12 on
 # tau in [0, 5]; at 1e-10 a homodyne-displaced single mode is 2.7e-9 off.
@@ -346,20 +347,24 @@ _LADDER_TAIL = 1e-14
 def g2_tau(
     model: CavityModel, mix: dict | None, tau_grid: Sequence[float]
 ) -> CorrelationCurve:
-    """g2(tau) by quantum regression.
+    """g2(tau) by quantum regression on a uniform grid from 0.
 
-    The seed d rho_ss d+ evolves by exact exponential steps, one per
-    interval of tau_grid, on the steady state's excitation ladder: the
-    product states of total Fock number <= K, with K the smallest shell
-    above which rho_ss holds at most _LADDER_TAIL * n_ss of its population.
+    tau_grid must equal np.linspace(0, tau_max, n) within 1e-12 * tau_max;
+    any other grid is refused before the steady state is solved.  One
+    interval-mode expm_multiply call propagates the seed d rho_ss d+ to every
+    grid point on the steady state's excitation ladder: the product states
+    of total Fock number <= K, with K the smallest shell above which rho_ss
+    holds at most _LADDER_TAIL * n_ss of its population.
     """
     tau = _tau_grid(tau_grid)
+    if np.max(np.abs(tau - np.linspace(0.0, tau[-1], tau.size))) > 1e-12 * tau[-1]:
+        raise ValueError("tau grid must be uniform: np.linspace(0, tau_max, n) within 1e-12")
     rho_ss = steady_state(model).mat
-    _, n_ss = _g2_and_intensity(model, mix, rho_ss)
     d = _measured_operator(model, mix)
-    dd = d.conj().T @ d
     seed = d @ rho_ss @ d.conj().T
-    seed = seed / np.trace(seed).real  # trace equals n_ss by construction
+    n_ss = np.trace(seed).real  # Tr(d rho d+) = Tr(d+ d rho)
+    if n_ss < INTENSITY_FLOOR:
+        raise VacuumOutputError(f"measured intensity {n_ss:.3e} below floor; g2 undefined")
     # d never raises the excitation, so the seed lives on the ladder too.
     total = np.indices(model.dims).reshape(len(model.dims), -1).sum(axis=0)
     shells = np.bincount(total, weights=np.diag(rho_ss).real)
@@ -369,15 +374,10 @@ def g2_tau(
     # operators, so the n^2 x n^2 full-space L is never built.
     ix = np.ix_(keep, keep)
     lio = _superoperator(_drift(model)[ix], [c[ix] for c in model.collapse_ops])
-    trace = lio.trace()
-    y = seed[ix].reshape(-1)
-    readout = dd.T[ix].reshape(-1)  # Tr(dd rho) = readout . vec(rho)
-    g2 = np.empty(tau.size)
-    g2[0] = (readout @ y).real
-    for i, h in enumerate(np.diff(tau), start=1):
-        y = expm_multiply(lio * h, y, traceA=trace * h)
-        g2[i] = (readout @ y).real
-    return CorrelationCurve(tau, g2 / n_ss)
+    states = expm_multiply(lio, seed[ix].reshape(-1) / n_ss, start=0.0, stop=tau[-1],
+                           num=tau.size, endpoint=True, traceA=lio.trace())
+    readout = (d.conj().T @ d).T[ix].reshape(-1)  # Tr(d+ d rho) = readout . vec(rho)
+    return CorrelationCurve(tau, (states @ readout).real / n_ss)
 
 
 def oscillation_frequency(curve: CorrelationCurve) -> float | None:

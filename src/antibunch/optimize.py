@@ -1,19 +1,16 @@
 """Grid sweeps and derivative-free refinement of correlation objectives.
 
 An objective is a pure function taking named parameters and returning
-(g2, n_mean).  A plain objective takes scalars and is called once per grid
-cell in the deterministic row-major order.  An objective marked with
-``broadcasting`` also accepts its swept parameters as open-grid arrays
+(g2, n_mean).  It accepts its swept parameters as open-grid arrays
 (``np.ix_`` shapes) and returns the whole grid from one call; called with
-scalars it still returns floats, which is how refinement uses it.  Cells
-where g2 is undefined (vacuum output, or any non-finite g2) are stored as
-explicit markers, never fabricated numbers, and are excluded from argmin.
-Identical specs produce bit-identical results.
+scalars it returns floats, which is how refinement uses it.  A cell whose
+g2 is undefined is one the objective returns as NaN or inf (a dark output);
+such cells are stored as explicit markers, never fabricated numbers, and
+are excluded from argmin.  Identical specs produce bit-identical results.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -32,12 +29,6 @@ OBJECTIVE_REGISTRY: dict[str, Objective] = {}
 # refine_min's simplex tolerance on the parameters: the resolution of every
 # refined optimum, and so the distance within which one counts as on a bound.
 XATOL = 1e-5
-
-
-def broadcasting(fn: Objective) -> Objective:
-    """Mark an objective that evaluates open-grid array parameters in one call."""
-    fn.broadcasts = True
-    return fn
 
 
 def resolve_objective(objective) -> Objective:
@@ -113,23 +104,12 @@ class SweepResult:
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the objective on the full Cartesian grid."""
+    """Evaluate the objective on the full Cartesian grid in one call."""
     fn = resolve_objective(spec.objective)
     values = tuple(ax.values() for ax in spec.axes)
     shape = tuple(v.size for v in values)
-    names = [ax.name for ax in spec.axes]
-    if getattr(fn, "broadcasts", False):
-        grid = dict(zip(names, np.ix_(*values)))
-        g2, n_mean = (np.broadcast_to(out, shape).astype(float) for out in fn(**grid, **spec.fixed))
-    else:
-        g2 = np.full(shape, np.nan)
-        n_mean = np.full(shape, np.nan)
-        for idx in itertools.product(*(range(s) for s in shape)):
-            params = {name: float(vals[i]) for name, vals, i in zip(names, values, idx)}
-            try:
-                g2[idx], n_mean[idx] = fn(**params, **spec.fixed)
-            except VacuumOutputError:
-                pass
+    grid = dict(zip((ax.name for ax in spec.axes), np.ix_(*values)))
+    g2, n_mean = (np.broadcast_to(out, shape).astype(float) for out in fn(**grid, **spec.fixed))
     defined = np.isfinite(g2)
     g2[~defined] = np.nan
     n_mean[~defined] = np.nan

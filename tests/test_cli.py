@@ -162,10 +162,12 @@ class TestRefusedValues:
          ({"kind": "coherent", "alpha": 0.3, "dim": 0}, []),
          ({"kind": "coherent", "alpha": 0.3}, ["--dim", "0"]),
          ({"kind": "fock", "n": -1}, []),
+         ({"kind": "fock", "n": 1.7}, []),
          ({"kind": "cat", "alpha_sch": 0.2, "parity": 2}, []),
+         ({"kind": "cat", "alpha_sch": 0.2, "parity": 1.9}, []),
          ({"kind": "vacuum_two_photon", "c2": 1.5}, [])],
         ids=["dim-negative", "dim-fractional", "dim-zero", "dim-flag-zero", "fock-n-negative",
-             "cat-parity-2", "c2-above-1"],
+             "fock-n-fractional", "cat-parity-2", "cat-parity-fractional", "c2-above-1"],
     )
     def test_g2_state_value(self, tmp_path, capsys, state, extra):
         cfg = write_config(tmp_path, {"state": state})
@@ -174,18 +176,26 @@ class TestRefusedValues:
         assert err.startswith("config error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "config, extra",
-        [(None, ["--dim", "0"]), ({"grid": 0}, [])],
-        ids=["dim-flag-zero", "grid-zero"],
+        "name, config, extra",
+        [("fig2", None, ["--dim", "0"]), ("fig2", {"grid": 0}, []),
+         ("fig2", {"grid": 2.5}, []), ("fig3b", {"refine": "no"}, [])],
+        ids=["dim-flag-zero", "grid-zero", "grid-fractional", "refine-string"],
     )
-    def test_figure_value(self, tmp_path, capsys, config, extra):
-        argv = ["figure", "fig2", "--out", str(tmp_path), *extra]
+    def test_figure_value(self, tmp_path, capsys, name, config, extra):
+        argv = ["figure", name, "--out", str(tmp_path), *extra]
         if config is not None:
             argv += ["--config", str(write_config(tmp_path, config))]
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
-        assert not list(tmp_path.glob("fig2.*"))
+        assert not list(tmp_path.glob(f"{name}.*"))
+
+    @pytest.mark.parametrize("dim", ["0", "1"])
+    def test_selftest_dim(self, capsys, dim):
+        assert cli.main(["selftest", "--dim", dim]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert "PASS" not in captured.out
 
     def test_pair_beamsplitter_keys(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

@@ -84,17 +84,25 @@ class TestBroadcastSweep:
         axes = (data.draw(axes_of(name_0, top_0)), data.draw(axes_of(name_1, top_1)))
         objective = getattr(figures, name)
         wide = _sweep_or_dark(SweepSpec(axes=axes, objective=objective, fixed=fixed))
-        # A plain wrapper drops the broadcasting mark: sweep calls it per cell.
-        loop = _sweep_or_dark(
-            SweepSpec(axes=axes, objective=lambda **kw: objective(**kw), fixed=fixed)
-        )
-        assert (wide is None) == (loop is None)
+        # The reference is one scalar call per cell; a scalar call raises
+        # VacuumOutputError on a dark cell.
+        values_0, values_1 = (ax.values() for ax in axes)
+        loop = np.full((values_0.size, values_1.size, 2), np.nan)
+        for i, v_0 in enumerate(values_0):
+            for j, v_1 in enumerate(values_1):
+                try:
+                    loop[i, j] = objective(**{name_0: float(v_0), name_1: float(v_1)}, **fixed)
+                except VacuumOutputError:
+                    pass
+        defined = np.isfinite(loop[..., 0])
+        assert (wide is None) == (not defined.any())
         if wide is None:
             return
-        np.testing.assert_allclose(wide.g2, loop.g2, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(wide.n_mean, loop.n_mean, rtol=1e-12, atol=0.0)
-        assert np.array_equal(wide.defined, loop.defined)
-        assert wide.argmin == loop.argmin
+        np.testing.assert_allclose(wide.g2, loop[..., 0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(wide.n_mean, loop[..., 1], rtol=1e-12, atol=0.0)
+        assert np.array_equal(wide.defined, defined)
+        masked = np.where(defined, loop[..., 0], np.inf)
+        assert wide.argmin_indices() == np.unravel_index(np.argmin(masked), masked.shape)
 
     def test_scalar_call_keeps_float_contract(self):
         g2, n_mean = figures.cat_mix(alpha_sch=0.2, alpha=0.1)

@@ -300,9 +300,24 @@ class TestG2Tau:
         # refused up front, before any steady-state solve
         monkeypatch.setattr(lindblad, "steady_state", None)
         model = build_single_kerr(0.5, 0.3, 0.0, 10)
-        for tau in ([0.5, 1.0], [], [0.0]):
+        for tau in ([0.5, 1.0], [], [0.0], [0.0, 0.5, 2.0]):
             with pytest.raises(ValueError, match="tau grid"):
                 g2_tau(model, None, tau)
+
+    def test_undriven_cavity_is_undefined(self):
+        with pytest.raises(VacuumOutputError):
+            g2_tau(build_single_kerr(0.4, 0.0, 0.1, 8), None, np.linspace(0.0, 1.0, 5))
+
+    def test_one_propagation_call_per_curve(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("num"))
+            return expm_multiply(*args, **kwargs)
+
+        monkeypatch.setattr(lindblad, "expm_multiply", counted)
+        g2_tau(build_single_kerr(0.5, 0.3, 0.0, 10), None, np.linspace(0.0, 5.0, 21))
+        assert calls == [21]
 
     def test_linear_cavity_curve_is_flat(self):
         model = build_single_kerr(0.0, 0.2, 0.1, 12)

@@ -117,11 +117,14 @@ def _load_config(path: Path | None) -> object:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+
+    def refuse(constant: str):
+        raise ConfigError(f"config holds the non-finite number {constant}")
+
     try:
-        cfg = json.loads(text)
+        return json.loads(text, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return cfg
 
 
 def _cmd_g2(args) -> int:

@@ -226,16 +226,12 @@ def fig6(r_lo=0.002, r_hi=0.018, r_count=13, alpha_lo=0.1, alpha_hi=4.0,
                 params)
 
 
-def fig7(tau_max=10.0, n_tau=201, U=0.01, J=6.2, dim_single=12,
-         dims_coupled=(12, 12), tune_dims_coupled=(8, 8)):
+def fig7(tau_max=10.0, n_tau=201, U=0.01, J=6.2, dim_single=12, dims_coupled=(12, 12)):
     """Delayed correlations of the two cavity schemes at their tuned optima."""
     t0 = time.perf_counter()
     dims_coupled = tuple(int(d) for d in dims_coupled)
     tuned_s = lindblad.tune_for_antibunching("single", U=U, dims=(int(dim_single),))
-    tuned_c = lindblad.tune_for_antibunching(
-        "coupled", U=U, J=J, dims=dims_coupled,
-        tune_dims=tuple(int(d) for d in tune_dims_coupled),
-    )
+    tuned_c = lindblad.tune_for_antibunching("coupled", U=U, J=J, dims=dims_coupled)
     tau = np.linspace(0.0, float(tau_max), int(n_tau))
     model_s = lindblad.build_single_kerr(U, tuned_s["F"], tuned_s["Delta"], int(dim_single))
     curve_s = lindblad.g2_tau(model_s, tuned_s["mix"], tau)
@@ -247,8 +243,7 @@ def fig7(tau_max=10.0, n_tau=201, U=0.01, J=6.2, dim_single=12,
     ]
     beta = tuned_s["beta"]
     params = {"tau_max": tau_max, "n_tau": n_tau, "U": U, "J": J,
-              "dim_single": dim_single, "dims_coupled": list(dims_coupled),
-              "tune_dims_coupled": list(tune_dims_coupled)}
+              "dim_single": dim_single, "dims_coupled": list(dims_coupled)}
     extra = {
         "single": {"F": tuned_s["F"], "Delta": tuned_s["Delta"],
                    "beta": [beta.real, beta.imag], "g2_0": tuned_s["g2"],

@@ -175,31 +175,35 @@ def min_curve(
     fixed: dict | None = None,
     refine: bool = True,
 ) -> list[tuple[float, float, float, tuple[float, ...]]]:
-    """For each scan value: coarse inner grid, then simplex refinement.
+    """For each scan value: its slice of one coarse sweep, then simplex refinement.
 
-    Returns (scan value, min g2, n_mean at min, inner argmin) tuples.  A scan
-    value whose inner grid is undefined on every cell gives an undefined row:
-    NaN g2, NaN n_mean and a NaN argmin.
+    One sweep over (scan, *inner) gives every scan value's inner grid, and
+    each row's argmin among its defined cells seeds one refinement.  Returns
+    (scan value, min g2, n_mean at min, inner argmin) tuples.  A scan value
+    whose inner grid is undefined on every cell gives an undefined row: NaN
+    g2, NaN n_mean and a NaN argmin.
     """
     fn = resolve_objective(objective)
     fixed = dict(fixed or {})
     names = [ax.name for ax in inner]
+    try:
+        coarse = sweep(SweepSpec(axes=(scan, *inner), objective=fn, fixed=fixed))
+        masked = np.where(coarse.defined, coarse.g2, np.inf)
+    except VacuumOutputError:
+        masked = np.full([ax.count for ax in (scan, *inner)], np.inf)
     rows = []
-    for s in scan.values():
-        base = {scan.name: float(s), **fixed}
-        spec = SweepSpec(axes=tuple(inner), objective=fn, fixed=base)
-        try:
-            coarse = sweep(spec)
-        except VacuumOutputError:
+    for s, cells in zip(scan.values(), masked):
+        idx = np.unravel_index(int(np.argmin(cells)), cells.shape)
+        if np.isinf(cells[idx]):
             rows.append((float(s), np.nan, np.nan, (np.nan,) * len(names)))
             continue
-        best_x, best_g2 = coarse.argmin, coarse.min_g2
+        base = {scan.name: float(s), **fixed}
+        best_x, best_g2 = tuple(float(ax.values()[i]) for ax, i in zip(inner, idx)), cells[idx]
         if refine:
-            bounds = [(ax.lo, ax.hi) for ax in inner]
             best_x, best_g2 = refine_min(
                 lambda x: fn(**dict(zip(names, map(float, x))), **base)[0],
-                coarse.argmin,
-                bounds=bounds,
+                best_x,
+                bounds=[(ax.lo, ax.hi) for ax in inner],
             )
         n_at = fn(**dict(zip(names, best_x)), **base)[1]
         rows.append((float(s), float(best_g2), float(n_at), tuple(best_x)))

@@ -165,9 +165,13 @@ class TestRefusedValues:
          ({"kind": "fock", "n": 1.7}, []),
          ({"kind": "cat", "alpha_sch": 0.2, "parity": 2}, []),
          ({"kind": "cat", "alpha_sch": 0.2, "parity": 1.9}, []),
-         ({"kind": "vacuum_two_photon", "c2": 1.5}, [])],
+         ({"kind": "vacuum_two_photon", "c2": 1.5}, []),
+         ({"kind": "kerr_coherent", "alpha": 0.3, "chi_t": float("nan")}, []),
+         ({"kind": "coherent", "alpha": float("inf")}, []),
+         ({"kind": "coherent", "alpha": -float("inf")}, [])],
         ids=["dim-negative", "dim-fractional", "dim-zero", "dim-flag-zero", "fock-n-negative",
-             "fock-n-fractional", "cat-parity-2", "cat-parity-fractional", "c2-above-1"],
+             "fock-n-fractional", "cat-parity-2", "cat-parity-fractional", "c2-above-1",
+             "chi_t-nan", "alpha-infinity", "alpha-minus-infinity"],
     )
     def test_g2_state_value(self, tmp_path, capsys, state, extra):
         cfg = write_config(tmp_path, {"state": state})
@@ -178,8 +182,10 @@ class TestRefusedValues:
     @pytest.mark.parametrize(
         "name, config, extra",
         [("fig2", None, ["--dim", "0"]), ("fig2", {"grid": 0}, []),
-         ("fig2", {"grid": 2.5}, []), ("fig3b", {"refine": "no"}, [])],
-        ids=["dim-flag-zero", "grid-zero", "grid-fractional", "refine-string"],
+         ("fig2", {"grid": 2.5}, []), ("fig3b", {"refine": "no"}, []),
+         ("fig2", {"alpha": float("nan")}, []), ("fig3b", {"alpha_hi": float("inf")}, [])],
+        ids=["dim-flag-zero", "grid-zero", "grid-fractional", "refine-string",
+             "alpha-nan", "alpha_hi-infinity"],
     )
     def test_figure_value(self, tmp_path, capsys, name, config, extra):
         argv = ["figure", name, "--out", str(tmp_path), *extra]
@@ -205,6 +211,15 @@ class TestRefusedValues:
         })
         assert cli.main(["g2", "--config", str(cfg)]) == 3
         assert "unknown keys ['T'] in beamsplitter spec" in capsys.readouterr().err
+
+    def test_non_finite_number_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "state_a": {"kind": "coherent", "alpha": 0.3},
+            "state_b": {"kind": "coherent", "alpha": 0.3},
+            "beamsplitter": {"R": 0.5, "phi": float("nan")},
+        })
+        assert cli.main(["g2", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == "config error: config holds the non-finite number NaN\n"
 
 
 class TestFigureCommand:

@@ -253,7 +253,6 @@ class TestDelayedCorrelations:
             n_tau=21,
             dim_single=8,
             dims_coupled=(8, 8),
-            tune_dims_coupled=(6, 6),
         )
         assert res.columns == ("tau", "g2_single", "g2_coupled")
         assert len(res.rows) == 21

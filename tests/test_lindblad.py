@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
+from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import expm_multiply, splu
 
 from antibunch import beamsplitter, lindblad
@@ -32,6 +33,22 @@ from antibunch.lindblad import (
 
 # U at the unconventional-blockade optimum for J = 6.2 (decay rate 1)
 U_OPT = 2.0 / (3.0 * np.sqrt(3.0) * 6.2**2)
+
+
+def weak_drive_g2(U, J, Delta):
+    """g2(0) of the driven mode of the coupled model to leading order in F.
+
+    Amplitude equations of H - (i/2)(a+a + b+b) with C00 = 1 and the drive
+    scaled out (Bamba, Imamoglu, Carusotto and Ciuti, PRA 83, 021802(R)
+    (2011)): first order fixes (C10, C01), second order (C20, C11, C02).
+    """
+    d, r2 = Delta - 0.5j, np.sqrt(2.0)
+    c10, c01 = np.linalg.solve([[d, J], [J, d]], [-1.0, 0.0])
+    c20, _, _ = np.linalg.solve(
+        [[2 * d, r2 * J, 0.0], [r2 * J, 2 * d, r2 * J], [0.0, r2 * J, 2 * d + 2 * U]],
+        [-r2 * c10, -c01, 0.0],
+    )
+    return 2.0 * abs(c20) ** 2 / abs(c10) ** 4
 
 
 def linear_cavity_amplitude(F, Delta):
@@ -424,3 +441,20 @@ class TestTuner:
         assert result["g2"] >= 0.9
         # the search never leaves the near-resonant slab |Delta| <= 0.05
         assert deltas and max(abs(d) for d in deltas) <= 0.05
+
+
+class TestWeakDriveOracle:
+    def test_lindblad_approaches_it_as_F_squared(self):
+        delta = 1.0 / (2.0 * np.sqrt(3.0))
+        weak = weak_drive_g2(0.01, 6.2, delta)
+        gaps = [abs(static_g2(build_coupled_cavities(0.01, 6.2, F, delta, (8, 8))) / weak - 1.0)
+                for F in (0.04, 0.02, 0.01)]
+        assert 3.5 <= gaps[0] / gaps[1] <= 4.5 and 3.5 <= gaps[1] / gaps[2] <= 4.5
+
+    def test_coupled_tuner_reaches_the_dip_of_the_closed_form(self):
+        argmin = minimize_scalar(lambda d: weak_drive_g2(0.01, 6.2, d), bounds=(0.2, 0.4),
+                                 method="bounded", options={"xatol": 1e-12}).x
+        at_argmin = static_g2(build_coupled_cavities(0.01, 6.2, 0.04, argmin, (12, 12)))
+        tuned = tune_for_antibunching("coupled", U=0.01, J=6.2)
+        assert tuned["F"] == 0.04 and tuned["dims"] == (12, 12)
+        assert tuned["g2"] <= at_argmin

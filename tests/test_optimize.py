@@ -226,9 +226,7 @@ class TestMinCurve:
     @pytest.mark.parametrize("refine", [False, True])
     def test_dark_scan_value_gives_undefined_row(self, refine):
         def fn(s=0.0, x=0.0, y=0.0):
-            if s == 0.0:
-                raise VacuumOutputError("dark")
-            return (x - s) ** 2 + y, s
+            return np.where(s == 0.0, np.nan, (x - s) ** 2 + y), s
 
         inner = [Axis("x", 0.0, 1.0, 5), Axis("y", 0.0, 1.0, 3)]
         rows = min_curve(fn, Axis("s", 0.0, 1.0, 3), inner, refine=refine)
@@ -239,6 +237,19 @@ class TestMinCurve:
             assert g2 == pytest.approx(0.0, abs=1e-8)
             assert n_at == s
             assert argmin == pytest.approx((s, 0.0), abs=1e-4)
+
+    def test_one_coarse_sweep_per_curve(self, monkeypatch):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return sweep(spec)
+
+        monkeypatch.setattr(optimize, "sweep", counted)
+        scan, inner = Axis("s", 0.0, 1.0, 3), [Axis("x", 0.0, 1.0, 5), Axis("y", 0.0, 1.0, 3)]
+        rows = min_curve(lambda s, x, y: ((x - s) ** 2 + y, s), scan, inner, refine=False)
+        assert len(rows) == 3
+        assert [c.axes for c in calls] == [(scan, *inner)]
 
 
 class TestSensitivity:

@@ -87,20 +87,20 @@ def build_state(spec: dict, dim_override: int | None = None) -> fock.FockVector:
         return fock.basis(dim or max(n + 1, 4), n)
     if kind == "coherent":
         alpha = _as_complex(spec["alpha"], "alpha")
-        return states.coherent(alpha, dim or fock.default_dim(alpha))
+        return states.coherent(alpha, fock.amplitude_dim(alpha, dim))
     if kind == "phase_modified":
         alpha = _as_complex(spec["alpha"], "alpha")
-        return states.phase_modified_coherent(alpha, dim or fock.default_dim(alpha))
+        return states.phase_modified_coherent(alpha, fock.amplitude_dim(alpha, dim))
     if kind == "kerr_coherent":
         alpha = _as_complex(spec["alpha"], "alpha")
         params = states.KerrParams(alpha=alpha, chi_t=float(spec["chi_t"]))
-        return states.kerr_coherent(params, dim or fock.default_dim(alpha))
+        return states.kerr_coherent(params, fock.amplitude_dim(alpha, dim))
     if kind == "vacuum_two_photon":
         return states.vacuum_two_photon(float(spec["c2"]), dim or 3)
     if kind == "cat":
         alpha_sch = _as_complex(spec["alpha_sch"], "alpha_sch")
         params = states.CatParams(alpha_sch=alpha_sch, parity=_as_int(spec["parity"], "parity"))
-        return states.cat_state(params, dim or fock.default_dim(alpha_sch))
+        return states.cat_state(params, fock.amplitude_dim(alpha_sch, dim))
     if kind == "squeezed_vacuum":
         xi = _as_complex(spec["xi"], "xi")
         return states.squeezed_vacuum(xi, dim or max(24, fock.squeeze_dim(xi)))

@@ -196,6 +196,14 @@ def default_dim(alpha: complex) -> int:
     return max(16, math.ceil(8.0 * (1.0 + abs(alpha)) ** 2))
 
 
+def amplitude_dim(alpha: complex, dim: int | None = None) -> int:
+    """dim (default_dim(alpha) if None), refused unless |alpha|^2 <= dim/4."""
+    if dim is not None and abs(alpha) ** 2 > dim / 4.0:
+        raise TruncationError(f"amplitude |alpha|={abs(alpha):.4g} unsafe at dim={dim}",
+                              recommended_dim=default_dim(alpha))
+    return default_dim(alpha) if dim is None else dim
+
+
 def squeeze_dim(xi: complex) -> int:
     """Smallest truncation squeeze() accepts for S(xi): ceil(20(1+|xi|))."""
     return math.ceil(20.0 * (1.0 + abs(xi)))
@@ -210,12 +218,7 @@ def displacement(alpha: complex, dim: int) -> np.ndarray:
     """
     if dim < 2:
         raise InvalidDimensionError(f"displacement needs dim >= 2, got {dim}")
-    if abs(alpha) ** 2 > dim / 4.0:
-        raise TruncationError(
-            f"displacement by |alpha|={abs(alpha):.4g} unsafe at dim={dim}",
-            recommended_dim=default_dim(alpha),
-        )
-    a = annihilation(dim)
+    a = annihilation(amplitude_dim(alpha, dim))
     return expm(alpha * a.conj().T - np.conjugate(alpha) * a)
 
 

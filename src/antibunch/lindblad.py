@@ -15,7 +15,7 @@ grid on the steady state's excitation ladder: the states of total Fock
 number <= K, with K chosen from the returned steady state so that its
 population above K is negligible against the measured intensity.
 
-Steady states come from one of two kernels: the sparse LU for small
+Steady states come from one of two kernels: the banded LU for small
 single-mode models, the operator-form GMRES for everything else.
 """
 
@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import LinAlgError, solve_banded
 from scipy.sparse.linalg import LinearOperator, expm_multiply, gmres, splu
 
 from . import optimize
@@ -103,16 +104,16 @@ def _drift(model: CavityModel) -> np.ndarray:
     return a
 
 
-def _superoperator(
+def _triplets(
     drift: np.ndarray, collapse_ops: Sequence[np.ndarray], trace_bump: float = 0.0
-) -> sp.csc_matrix:
-    # A kron 1 + 1 kron conj(A) + sum c kron conj(c) on row-major vec(rho),
-    # plus trace_bump * |e_0><trace| if it is nonzero.  Each term's
-    # (row, col, value) triplets come from its factors' nonzeros; one sparse
-    # constructor sums the duplicates, with no kron or add chain.  It sums
-    # them in no fixed order, which is exact here: in this module's models
-    # at most two terms meet at an entry (the diagonals of the two drift
-    # terms, or a jump term and the trace bump).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (row, col, value) triplets of A kron 1 + 1 kron conj(A) + sum c kron
+    # conj(c) on row-major vec(rho), plus trace_bump * |e_0><trace| if it is
+    # nonzero.  Each term's triplets come from its factors' nonzeros, with no
+    # kron or add chain.  The caller's scatter sums duplicates in no fixed
+    # order, which is exact here: in this module's models at most two terms
+    # meet at an entry (the diagonals of the two drift terms, or a jump term
+    # and a bump).
     n = drift.shape[0]
     k = np.arange(n)
     i, j = np.nonzero(drift)
@@ -133,10 +134,13 @@ def _superoperator(
         rows.append(np.zeros(n, dtype=k.dtype))
         cols.append(k * (n + 1))
         vals.append(np.full(n, trace_bump, dtype=complex))
-    nn = n * n
-    return sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(nn, nn)
-    )
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _superoperator(drift: np.ndarray, collapse_ops: Sequence[np.ndarray]) -> sp.csc_matrix:
+    rows, cols, vals = _triplets(drift, collapse_ops)
+    nn = drift.shape[0] ** 2
+    return sp.csc_matrix((vals, (rows, cols)), shape=(nn, nn))
 
 
 def liouvillian(model: CavityModel) -> sp.csc_matrix:
@@ -147,14 +151,12 @@ def liouvillian(model: CavityModel) -> sp.csc_matrix:
     return _superoperator(_drift(model), model.collapse_ops)
 
 
-# A single-mode model of up to this many unknowns is solved by the sparse
-# LU, which factors its banded Liouvillian faster than the operator-form
-# GMRES at weak and strong drive alike: over the 804 dim-12 solves of the
-# cavity benchmark's refine job (F 0.02-1, median 0.15) a whole solve takes
-# 1.2-1.3 ms median by LU and 2.4-2.7 ms by the operator kernel; at
-# F >= 0.6, dims 12-24, 0.9-3.0 ms against 7-43 ms, and GMRES stalls short
-# of its tolerance at dims 18 and 24, F = 0.8.  Every other model goes to
-# the operator kernel, which never forms the superoperator and beats the
+# A single-mode model of up to this many unknowns is solved by the banded
+# LU, faster than the operator-form GMRES at weak and strong drive alike: a
+# whole dim-12 solve takes 0.3-0.6 ms by the band, 1.0-1.7 ms by the sparse
+# LU it replaced and 2.4-2.7 ms by GMRES, which stalls short of its
+# tolerance at F = 0.8, dims 18 and 24.  Every other model goes to the
+# operator kernel, which never forms the superoperator and beats the sparse
 # LU's fill-in with two modes (coupled (8, 8): ~14 ms against ~650 ms).
 _FULL_SPACE_LIMIT = 10000
 
@@ -176,9 +178,10 @@ def _lindblad_map(
 
 
 def _bump_weight(model: CavityModel, drift: np.ndarray) -> float:
-    # Scale of the trace bump weight * |e_0><trace| that both kernels add to
-    # L: mean |diag L|, so the bump is as stiff as L itself.  On row-major
-    # vec(rho), diag L at (i, j) is A_ii + conj(A_jj) + sum c_ii conj(c_jj).
+    # Scale of the bump weight * |e_0><trace| (or |e_0><e_0|) that every
+    # kernel adds to L: mean |diag L|, so the bump is as stiff as L itself.
+    # On row-major vec(rho), diag L at (i, j) is A_ii + conj(A_jj) +
+    # sum c_ii conj(c_jj).
     a = np.diag(drift)
     diag = a[:, None] + a.conj()[None, :]
     for c in model.collapse_ops:
@@ -188,16 +191,32 @@ def _bump_weight(model: CavityModel, drift: np.ndarray) -> float:
 
 
 def _kernel_direct(model: CavityModel, drift: np.ndarray, weight: float) -> np.ndarray:
-    # L + weight * |e_0><trace| is regular, so the kernel vector is the
-    # unique solution of one sparse solve (the standard direct method).
+    # L + weight * |e_0><trace| is regular, so one sparse LU solve gives the
+    # kernel vector.  A single mode's L is a band, which a trace row would
+    # break, so there the bump is weight * |e_0><e_0| and LAPACK's banded LU
+    # solves it: by Sherman-Morrison the solution is rho_ss / rho_ss[0, 0],
+    # given rho_ss[0, 0] != 0 (true for every driven, damped Kerr cavity).
     nn = model.hilbert_dim ** 2
     rhs = np.zeros(nn, dtype=complex)
     rhs[0] = weight
+    single = len(model.dims) == 1
+    rows, cols, vals = _triplets(drift, model.collapse_ops, 0.0 if single else weight)
+    if not single:
+        try:
+            return splu(sp.csc_matrix((vals, (rows, cols)), shape=(nn, nn))).solve(rhs)
+        except RuntimeError as exc:
+            raise SteadyStateError(f"Liouvillian solve failed: {exc}") from exc
+    lower, upper = np.max(rows - cols), np.max(cols - rows)
+    # band[upper + row - col, col] = L[row, col], scattered as (re, im) pairs.
+    at = 2 * ((upper + rows - cols) * nn + cols)
+    band = np.bincount(np.stack([at, at + 1], axis=1).ravel(), vals.view(float),
+                       2 * (lower + upper + 1) * nn).view(complex).reshape(-1, nn)
+    band[upper, 0] += weight
     try:
-        solver = splu(_superoperator(drift, model.collapse_ops, trace_bump=weight))
-        return solver.solve(rhs)
-    except RuntimeError as exc:
-        raise SteadyStateError(f"Liouvillian solve failed: {exc}") from exc
+        return solve_banded((lower, upper), band, rhs, overwrite_ab=True, overwrite_b=True,
+                            check_finite=False)
+    except LinAlgError as exc:
+        raise SteadyStateError(f"banded Liouvillian solve failed: {exc}") from exc
 
 
 def _kernel_operator(model: CavityModel, drift: np.ndarray, weight: float) -> np.ndarray:
@@ -257,7 +276,7 @@ def steady_state(model: CavityModel, *, method: str = "auto") -> DensityMatrix:
     """Kernel of L, trace-normalized.
 
     method="auto" solves a single-mode model of up to _FULL_SPACE_LIMIT
-    unknowns by the sparse LU ("direct") and every other model by the
+    unknowns by the banded LU ("direct") and every other model by the
     operator-form GMRES ("operator"), which never builds the n^2 x n^2
     superoperator.  Either method can be forced for cross-checks; "direct"
     on a large system is the caller's own memory risk.  Every kernel's state
@@ -279,7 +298,7 @@ def steady_state(model: CavityModel, *, method: str = "auto") -> DensityMatrix:
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     residual = _residual(model, drift, rho)
-    if residual > 1e-10:
+    if not residual <= 1e-10:  # a NaN residual fails too
         raise SteadyStateError(f"steady-state residual {residual:.3e} exceeds 1e-10")
     return DensityMatrix(rho)
 

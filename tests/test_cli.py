@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import antibunch
-from antibunch import cli
-from antibunch.errors import ConfigError
+from antibunch import cli, fock
+from antibunch.errors import ConfigError, TruncationError
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -50,6 +50,20 @@ class TestBuildState:
         assert psi.dim == 9
         psi = cli.build_state({"kind": "coherent", "alpha": 0.2, "dim": 9}, dim_override=11)
         assert psi.dim == 11
+
+    @pytest.mark.parametrize(
+        "spec",
+        [{"kind": "coherent", "alpha": 1.5}, {"kind": "phase_modified", "alpha": [0.0, 1.5]},
+         {"kind": "kerr_coherent", "alpha": 1.5, "chi_t": 0.05},
+         {"kind": "cat", "alpha_sch": 1.5, "parity": 1}],
+        ids=["coherent", "phase_modified", "kerr_coherent", "cat"],
+    )
+    def test_amplitude_truncation_rule(self, spec):
+        # fock.displacement's rule |alpha|^2 <= dim/4: alpha = 1.5 fits dim 9, not 8.
+        assert cli.build_state({**spec, "dim": 9}).dim == 9
+        with pytest.raises(TruncationError) as err:
+            cli.build_state({**spec, "dim": 8})
+        assert err.value.recommended_dim == fock.default_dim(1.5)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="unknown state kind"):
@@ -168,10 +182,17 @@ class TestRefusedValues:
          ({"kind": "vacuum_two_photon", "c2": 1.5}, []),
          ({"kind": "kerr_coherent", "alpha": 0.3, "chi_t": float("nan")}, []),
          ({"kind": "coherent", "alpha": float("inf")}, []),
-         ({"kind": "coherent", "alpha": -float("inf")}, [])],
+         ({"kind": "coherent", "alpha": -float("inf")}, []),
+         ({"kind": "coherent", "alpha": 3, "dim": 8}, []),
+         ({"kind": "coherent", "alpha": 1.5}, ["--dim", "8"]),
+         ({"kind": "phase_modified", "alpha": [0.0, 3.0], "dim": 8}, []),
+         ({"kind": "kerr_coherent", "alpha": 3, "chi_t": 0.05, "dim": 8}, []),
+         ({"kind": "cat", "alpha_sch": 3, "parity": 1, "dim": 8}, [])],
         ids=["dim-negative", "dim-fractional", "dim-zero", "dim-flag-zero", "fock-n-negative",
              "fock-n-fractional", "cat-parity-2", "cat-parity-fractional", "c2-above-1",
-             "chi_t-nan", "alpha-infinity", "alpha-minus-infinity"],
+             "chi_t-nan", "alpha-infinity", "alpha-minus-infinity", "coherent-truncated",
+             "dim-flag-truncates", "phase_modified-truncated", "kerr_coherent-truncated",
+             "cat-truncated"],
     )
     def test_g2_state_value(self, tmp_path, capsys, state, extra):
         cfg = write_config(tmp_path, {"state": state})

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -90,6 +91,17 @@ def dense_superoperator(drift, collapse_ops):
     return lio
 
 
+def unpack_band(band, lower, upper):
+    # Dense matrix of LAPACK band storage band[upper + i - j, j] = M[i, j].
+    size = band.shape[1]
+    assert band.shape[0] == lower + upper + 1
+    i, j = np.indices((size, size))
+    inside = (i - j <= lower) & (j - i <= upper)
+    dense = np.zeros((size, size), dtype=band.dtype)
+    dense[inside] = band[(upper + i - j)[inside], j[inside]]
+    return dense
+
+
 @st.composite
 def sparse_dyadic(draw, n):
     # Complex entries on a quarter-integer grid with a random zero pattern.
@@ -138,21 +150,35 @@ class TestAssembly:
         ids=["single", "coupled"],
     )
     def test_direct_kernel_factors_the_bumped_liouvillian(self, model, monkeypatch):
+        # One mode: the band of L + weight * |e_0><e_0| goes to LAPACK's
+        # banded LU.  Several: L + weight * |e_0><trace| goes to SuperLU.
         factored = []
+
+        def recording_solve_banded(l_and_u, ab, b, **kwargs):
+            factored.append((l_and_u, ab.copy()))
+            return scipy.linalg.solve_banded(l_and_u, ab, b, **kwargs)
 
         def recording_splu(matrix):
             factored.append(matrix)
             return splu(matrix)
 
+        monkeypatch.setattr(lindblad, "solve_banded", recording_solve_banded)
         monkeypatch.setattr(lindblad, "splu", recording_splu)
         drift = lindblad._drift(model)
         weight = lindblad._bump_weight(model, drift)
         lindblad._kernel_direct(model, drift, weight)
         n = model.hilbert_dim
         expected = dense_superoperator(drift, model.collapse_ops)
-        expected[0, :: n + 1] += weight  # weight * |e_0><trace|
-        assert len(factored) == 1 and factored[0].format == "csc"
-        assert np.array_equal(factored[0].toarray(), expected)
+        assert len(factored) == 1
+        if len(model.dims) == 1:
+            expected[0, 0] += weight
+            (lower, upper), band = factored[0]
+            assert (lower, upper) == (n, n + 1)
+            assert np.array_equal(unpack_band(band, lower, upper), expected)
+        else:
+            expected[0, :: n + 1] += weight
+            assert factored[0].format == "csc"
+            assert np.array_equal(factored[0].toarray(), expected)
 
 
 class TestLiouvillian:
@@ -231,9 +257,9 @@ class TestSteadyState:
     @pytest.mark.parametrize("U, J", [(U_OPT, 6.2), (0.3, 1.0)], ids=["U_opt-J6.2", "U0.3-J1"])
     @pytest.mark.parametrize("dims", [(6, 6), (8, 8)], ids=["6x6", "8x8"])
     def test_operator_kernel_matches_direct(self, dims, U, J, F):
-        # Off the dip bottom: at the tuned point (Delta = 0.2852, g2 ~ 3.6e-6)
-        # the direct LU's own g2 is up to 5e-6 relative off an
-        # extended-precision refinement of it.
+        # Off the dip bottom: at the tuned point (Delta = 0.2852, g2 ~ 4.5e-6)
+        # the direct LU's own g2 at (8, 8) is 1.5e-5 relative off a
+        # long-double refinement of it.
         model = build_coupled_cavities(U, J, F, 1.0 / (2.0 * np.sqrt(3.0)), dims)
         rho_op = steady_state(model, method="operator").mat
         rho_direct = steady_state(model, method="direct").mat
@@ -248,6 +274,43 @@ class TestSteadyState:
         for model, forced in ((single, "direct"), (coupled, "operator")):
             auto = steady_state(model).mat
             assert np.array_equal(auto, steady_state(model, method=forced).mat)
+
+    @pytest.mark.parametrize(
+        "dim, U, F, Delta",
+        [(8, 0.0, 2.0, 0.0), (8, 1.0, 0.02, -1.0), (12, 0.01, 0.158, 0.05), (12, 0.3, 1.0, -0.4),
+         (20, 1.0, 2.0, 1.0), (28, 0.01, 0.3, -0.05), (40, 0.3, 0.02, 0.3), (60, 0.0, 0.02, 0.0),
+         (60, 1.0, 1.0, -1.0)],
+    )
+    def test_banded_kernel_matches_trace_row_lu(self, dim, U, F, Delta):
+        # The single-mode band bumps only rho[0, 0]; the trace-row sparse LU
+        # is the reference.  Over 576 models on this range they differed by
+        # at most 2.7e-14, with band residuals <= 3.3e-15 against the sparse
+        # LU's 9.0e-14.
+        model = build_single_kerr(U, F, Delta, dim)
+        drift = lindblad._drift(model)
+        weight = lindblad._bump_weight(model, drift)
+        rhs = np.zeros(dim * dim, dtype=complex)
+        rhs[0] = weight
+        rows, cols, vals = lindblad._triplets(drift, model.collapse_ops, trace_bump=weight)
+        lio = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(dim**2, dim**2))
+        ref = splu(lio).solve(rhs).reshape(dim, dim)
+        ref = 0.5 * (ref + ref.conj().T)
+        ref = ref / np.trace(ref).real
+        rho = steady_state(model).mat  # passes the 1e-10 gate or raises
+        assert np.max(np.abs(rho - ref)) <= 1e-13
+
+    def test_banded_kernel_failure_names_kernel(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(lindblad, "solve_banded", singular)
+        with pytest.raises(SteadyStateError, match="banded Liouvillian solve failed: singular"):
+            steady_state(build_single_kerr(0.3, 0.6, 0.1, 10))
+
+    def test_nan_drive_fails_the_gate(self):
+        # LAPACK's band solve returns NaN with no zero pivot; the gate refuses it.
+        with np.errstate(invalid="ignore"), pytest.raises(SteadyStateError, match="residual nan"):
+            steady_state(build_single_kerr(0.1, float("nan"), 0.0, 12))
 
     def test_operator_kernel_failure_names_kernel_info_and_residual(self, monkeypatch):
         monkeypatch.setattr(lindblad, "gmres", lambda op, b, **kw: (np.zeros_like(b), 7))

@@ -18,22 +18,6 @@ from .errors import DegenerateSplitterError
 
 
 @dataclass(frozen=True)
-class SqueezeParam:
-    """Polar form of a squeeze parameter xi = r e^{i omega}."""
-
-    r: float
-    omega: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.r) or self.r < 0.0:
-            raise ValueError(f"squeeze magnitude must be finite and >= 0, got {self.r}")
-
-    @property
-    def xi(self) -> complex:
-        return self.r * cmath.exp(1j * self.omega)
-
-
-@dataclass(frozen=True)
 class EffectiveSplit:
     """Single effective splitter equivalent to two coherent inputs.
 
@@ -48,22 +32,9 @@ class EffectiveSplit:
     alpha_b_prime: complex
 
     @property
-    def r_prime_refl(self) -> float:
-        return abs(self.sqrt_r_prime) ** 2
-
-    @property
-    def t_prime(self) -> float:
-        return abs(self.sqrt_t_prime) ** 2
-
-    @property
     def displacement_a(self) -> complex:
         """Coherent amplitude landing in output mode A."""
         return self.alpha_b_prime * self.sqrt_r_prime
-
-    @property
-    def displacement_b(self) -> complex:
-        """Coherent amplitude landing in output mode B."""
-        return self.alpha_b_prime * self.sqrt_t_prime
 
 
 def effective_split(

@@ -1,12 +1,14 @@
 """Result datasets behind each shipped figure: grids and curves of g2(0).
 
 Each builder returns a FigureResult (column names, rows, reproducibility
-metadata); file writing lives in the CLI.  The g2 pipelines are registered
-in the optimizer's objective registry under stable names so sweep specs can
-name them.  Given open-grid arrays they build one input state and one
-moment table per distinct value on each axis and evaluate the whole map as
-one array expression, with NaN on dark cells; given scalars they return
-floats and raise VacuumOutputError on a dark output.
+metadata); file writing lives in the CLI.  meta's parameters are the
+builder's own keyword arguments, so they are a valid config for it.  The
+g2 pipelines are registered in the optimizer's objective registry under
+stable names so sweep specs can name them.  Given open-grid arrays they
+build one input state and one moment table per distinct value on each axis
+and evaluate the whole map as one array expression, with NaN on dark cells;
+given scalars they return floats and raise VacuumOutputError on a dark
+output.
 
 Phases follow the normalized-to-pi convention of the beamsplitter module in
 all inputs and outputs; radians never appear in emitted data.
@@ -139,7 +141,7 @@ def _map(name: str, axes: tuple[Axis, Axis], objective: str, fixed: dict,
 
 
 def _curve(name: str, columns: tuple[str, ...], scan: Axis, inner: tuple[Axis, ...],
-           objective: str, fixed: dict, refine: bool, params: dict,
+           objective: str, fixed: dict, params: dict,
            extra: Callable[[float], tuple] = lambda s: ()) -> FigureResult:
     """One row per scan value of min_curve, as _map gives one per cell.
 
@@ -150,7 +152,7 @@ def _curve(name: str, columns: tuple[str, ...], scan: Axis, inner: tuple[Axis, .
     truncation it reaches), not by interference.
     """
     t0 = time.perf_counter()
-    curve = optimize.min_curve(objective, scan, inner, fixed=fixed, refine=refine)
+    curve = optimize.min_curve(objective, scan, inner, fixed=fixed)
     rows = [(s, g2, n_at, *x, *extra(s), int(np.isfinite(g2))) for s, g2, n_at, x in curve]
     names, bounds = [ax.name for ax in inner], [(ax.lo, ax.hi) for ax in inner]
     on_bound = [s for s, _, _, x in curve if optimize.on_bound(names, x, bounds)]
@@ -159,8 +161,7 @@ def _curve(name: str, columns: tuple[str, ...], scan: Axis, inner: tuple[Axis, .
 
 def fig2(alpha=0.3, dim=16, grid=101, r_lo=0.01, r_hi=0.5, phi_lo=0.0, phi_hi=2.0):
     """g2 map over (R, phi) for the phase-modified coherent state."""
-    params = {"alpha": alpha, "dim": dim, "grid": grid,
-              "R_range": [r_lo, r_hi], "phi_range": [phi_lo, phi_hi]}
+    params = dict(locals())
     return _map("fig2", (Axis("R", r_lo, r_hi, grid), Axis("phi", phi_lo, phi_hi, grid)),
                 "phase_modified_mix", {"alpha": alpha, "dim": dim}, params)
 
@@ -168,46 +169,40 @@ def fig2(alpha=0.3, dim=16, grid=101, r_lo=0.01, r_hi=0.5, phi_lo=0.0, phi_hi=2.
 def fig3a(alpha=0.3, chi_t=0.05, dim=16, grid=101,
           r_lo=0.01, r_hi=0.5, phi_lo=0.0, phi_hi=2.0):
     """g2 map over (R, phi) for the Kerr-evolved coherent state."""
-    params = {"alpha": alpha, "chi_t": chi_t, "dim": dim, "grid": grid,
-              "R_range": [r_lo, r_hi], "phi_range": [phi_lo, phi_hi]}
+    params = dict(locals())
     return _map("fig3a", (Axis("R", r_lo, r_hi, grid), Axis("phi", phi_lo, phi_hi, grid)),
                 "kerr_mix", {"alpha": alpha, "chi_t": chi_t, "dim": dim}, params)
 
 
 def fig3b(alpha_lo=0.05, alpha_hi=0.5, count=10, chi_t=0.05, dim=16,
-          inner_grid=41, refine=True):
+          inner_grid=41):
     """Optimal g2 and the photon number it costs, versus the amplitude of both inputs."""
-    params = {"alpha_range": [alpha_lo, alpha_hi], "count": count, "chi_t": chi_t,
-              "dim": dim, "inner_grid": inner_grid, "refine": bool(refine)}
+    params = dict(locals())
     return _curve("fig3b", ("alpha", "min_g2", "n_mean", "R_opt", "phi_opt", "defined"),
                   Axis("alpha", alpha_lo, alpha_hi, count),
                   (Axis("R", 0.01, 0.5, inner_grid), Axis("phi", 0.0, 2.0, inner_grid)),
-                  "kerr_mix", {"chi_t": chi_t, "dim": dim}, refine, params)
+                  "kerr_mix", {"chi_t": chi_t, "dim": dim}, params)
 
 
 def fig4(c2_lo=0.01, c2_hi=0.5, count=50, R=0.5, phi=0.5, dim=16,
-         alpha_lo=0.02, alpha_hi=2.0, inner_count=80, refine=True):
+         alpha_lo=0.02, alpha_hi=2.0, inner_count=80):
     """Optimal g2 versus two-photon weight on a 50:50 splitter, alpha optimized.
 
     input_g2 = 1/(2 c2^2) is the two-photon arm's own g2; it is NaN at
     c2 = 0, where that arm is the vacuum.
     """
-    params = {"c2_range": [c2_lo, c2_hi], "count": count, "R": R, "phi": phi,
-              "dim": dim, "alpha_range": [alpha_lo, alpha_hi],
-              "inner_count": inner_count, "refine": bool(refine)}
+    params = dict(locals())
     return _curve("fig4", ("c2", "min_g2", "n_mean", "alpha_opt", "input_g2", "defined"),
                   Axis("c2", c2_lo, c2_hi, count),
                   (Axis("alpha", alpha_lo, alpha_hi, inner_count),),
-                  "two_photon_mix", {"R": R, "phi": phi, "dim": dim}, refine, params,
+                  "two_photon_mix", {"R": R, "phi": phi, "dim": dim}, params,
                   extra=lambda c2: (0.5 / (c2 * c2) if c2 else np.nan,))
 
 
 def fig5(sch_lo=0.02, sch_hi=0.3, sch_count=57, alpha_lo=0.01, alpha_hi=0.3,
          alpha_count=59, parity=1, R=0.5, phi=0.5, dim=16):
     """g2 map over (cat amplitude, coherent amplitude) on a 50:50 splitter."""
-    params = {"alpha_sch_range": [sch_lo, sch_hi], "sch_count": sch_count,
-              "alpha_range": [alpha_lo, alpha_hi], "alpha_count": alpha_count,
-              "parity": parity, "R": R, "phi": phi, "dim": dim}
+    params = dict(locals())
     return _map("fig5", (Axis("alpha_sch", sch_lo, sch_hi, sch_count),
                          Axis("alpha", alpha_lo, alpha_hi, alpha_count)),
                 "cat_mix", {"parity": parity, "R": R, "phi": phi, "dim": dim}, params)
@@ -216,9 +211,7 @@ def fig5(sch_lo=0.02, sch_hi=0.3, sch_count=57, alpha_lo=0.01, alpha_hi=0.3,
 def fig6(r_lo=0.002, r_hi=0.018, r_count=13, alpha_lo=0.1, alpha_hi=4.0,
          alpha_count=41, T=0.9, phi=1.0, omega=0.0, dim_a=24, dim_b=None):
     """g2 map over (squeezing r, coherent alpha) at fixed high transmission."""
-    params = {"r_range": [r_lo, r_hi], "r_count": r_count,
-              "alpha_range": [alpha_lo, alpha_hi], "alpha_count": alpha_count,
-              "T": T, "phi": phi, "omega": omega, "dim_a": dim_a, "dim_b": dim_b}
+    params = dict(locals())
     return _map("fig6", (Axis("r", r_lo, r_hi, r_count, spacing="geom"),
                          Axis("alpha", alpha_lo, alpha_hi, alpha_count, spacing="geom")),
                 "squeezed_mix",
@@ -228,6 +221,7 @@ def fig6(r_lo=0.002, r_hi=0.018, r_count=13, alpha_lo=0.1, alpha_hi=4.0,
 
 def fig7(tau_max=10.0, n_tau=201, U=0.01, J=6.2, dim_single=12, dims_coupled=(12, 12)):
     """Delayed correlations of the two cavity schemes at their tuned optima."""
+    params = dict(locals())
     t0 = time.perf_counter()
     dims_coupled = tuple(int(d) for d in dims_coupled)
     tuned_s = lindblad.tune_for_antibunching("single", U=U, dims=(int(dim_single),))
@@ -242,8 +236,6 @@ def fig7(tau_max=10.0, n_tau=201, U=0.01, J=6.2, dim_single=12, dims_coupled=(12
         for t, gs, gc in zip(tau, curve_s.g2_values, curve_c.g2_values)
     ]
     beta = tuned_s["beta"]
-    params = {"tau_max": tau_max, "n_tau": n_tau, "U": U, "J": J,
-              "dim_single": dim_single, "dims_coupled": list(dims_coupled)}
     extra = {
         "single": {"F": tuned_s["F"], "Delta": tuned_s["Delta"],
                    "beta": [beta.real, beta.imag], "g2_0": tuned_s["g2"],
@@ -277,12 +269,3 @@ def write_csv(path, columns, rows) -> None:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([format_cell(v) for v in row])
-
-
-def read_csv(path) -> tuple[tuple[str, ...], list[tuple[float, ...]]]:
-    """Parse a CSV written by write_csv back into floats (round-trip exact)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        columns = tuple(next(reader))
-        rows = [tuple(float(v) for v in row) for row in reader]
-    return columns, rows

@@ -82,11 +82,6 @@ class FockVector:
         out[: self.dim] = self.amps
         return FockVector(out)
 
-    def overlap(self, other: "FockVector") -> complex:
-        if other.dim != self.dim:
-            raise DimensionMismatchError(f"dims differ: {self.dim} vs {other.dim}")
-        return complex(np.vdot(self.amps, other.amps))
-
 
 @dataclass(frozen=True)
 class TwoModeState:
@@ -106,24 +101,9 @@ class TwoModeState:
             )
         object.__setattr__(self, "amps", _freeze(arr))
 
-    @classmethod
-    def product(cls, psi_a: FockVector, psi_b: FockVector) -> "TwoModeState":
-        return cls(np.kron(psi_a.amps, psi_b.amps), psi_a.dim, psi_b.dim)
-
     def as_matrix(self) -> np.ndarray:
         """(dim_a, dim_b) amplitude matrix view (copy)."""
         return self.amps.reshape(self.dim_a, self.dim_b).copy()
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def normalize(self) -> "TwoModeState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        if abs(n - 1.0) < _NORM_SLACK:
-            return self
-        return TwoModeState(self.amps / n, self.dim_a, self.dim_b)
 
 
 @dataclass(frozen=True)
@@ -149,12 +129,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def expectation(self, op: np.ndarray) -> complex:
-        return expectation(self, op)
-
-    def mean_n(self) -> float:
-        return float(np.dot(np.arange(self.dim), np.diag(self.mat).real))
-
 
 # ---------------------------------------------------------------------------
 # operators
@@ -170,10 +144,6 @@ def annihilation(dim: int) -> np.ndarray:
     if dim < 2:
         raise InvalidDimensionError(f"annihilation needs dim >= 2, got {dim}")
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
-
-
-def creation(dim: int) -> np.ndarray:
-    return annihilation(dim).conj().T
 
 
 def number(dim: int) -> np.ndarray:
@@ -192,16 +162,23 @@ def basis(dim: int, n: int = 0) -> FockVector:
 
 
 def default_dim(alpha: complex) -> int:
-    """Adaptive truncation start for amplitude-|alpha| fields: max(16, ceil(8(1+|alpha|)^2))."""
-    return max(16, math.ceil(8.0 * (1.0 + abs(alpha)) ** 2))
+    """Adaptive truncation start for amplitude-|alpha| fields: max(16, ceil(8(1+|alpha|)^2)).
+
+    An amplitude whose truncation overflows a float is refused with a ValueError.
+    """
+    try:
+        return max(16, math.ceil(8.0 * (1.0 + abs(alpha)) ** 2))
+    except OverflowError:
+        raise ValueError(f"amplitude {alpha} has no finite truncation") from None
 
 
 def amplitude_dim(alpha: complex, dim: int | None = None) -> int:
     """dim (default_dim(alpha) if None), refused unless |alpha|^2 <= dim/4."""
+    recommended = default_dim(alpha)  # first, so that |alpha|^2 below is finite
     if dim is not None and abs(alpha) ** 2 > dim / 4.0:
         raise TruncationError(f"amplitude |alpha|={abs(alpha):.4g} unsafe at dim={dim}",
-                              recommended_dim=default_dim(alpha))
-    return default_dim(alpha) if dim is None else dim
+                              recommended_dim=recommended)
+    return recommended if dim is None else dim
 
 
 def squeeze_dim(xi: complex) -> int:
@@ -248,7 +225,7 @@ def lift_b(op: np.ndarray, dim_a: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# expectations and reductions
+# expectations
 # ---------------------------------------------------------------------------
 
 
@@ -269,17 +246,3 @@ def expectation(state, op: np.ndarray) -> complex:
             raise DimensionMismatchError(f"operator {op.shape} vs density dim {state.mat.shape}")
         return complex(np.trace(state.mat @ op))
     raise TypeError(f"unsupported state type {type(state).__name__}")
-
-
-def partial_trace_a(state: TwoModeState) -> DensityMatrix:
-    """Reduced density matrix of mode a (mode b traced out)."""
-    m = state.amps.reshape(state.dim_a, state.dim_b)
-    rho = m @ m.conj().T
-    return DensityMatrix(rho / np.trace(rho).real)
-
-
-def partial_trace_b(state: TwoModeState) -> DensityMatrix:
-    """Reduced density matrix of mode b (mode a traced out)."""
-    m = state.amps.reshape(state.dim_a, state.dim_b)
-    rho = np.einsum("ki,kj->ij", m, m.conj())
-    return DensityMatrix(rho / np.trace(rho).real)

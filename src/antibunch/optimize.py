@@ -79,7 +79,6 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    spec: SweepSpec
     axis_values: tuple[np.ndarray, ...]
     g2: np.ndarray          # nan where undefined
     n_mean: np.ndarray      # nan where undefined
@@ -117,7 +116,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
         raise VacuumOutputError("g2 undefined on every grid cell")
     for arr in (g2, n_mean, defined):
         arr.setflags(write=False)
-    return SweepResult(spec=spec, axis_values=values, g2=g2, n_mean=n_mean, defined=defined)
+    return SweepResult(axis_values=values, g2=g2, n_mean=n_mean, defined=defined)
 
 
 def refine_min(
@@ -173,7 +172,6 @@ def min_curve(
     scan: Axis,
     inner: Sequence[Axis],
     fixed: dict | None = None,
-    refine: bool = True,
 ) -> list[tuple[float, float, float, tuple[float, ...]]]:
     """For each scan value: its slice of one coarse sweep, then simplex refinement.
 
@@ -198,13 +196,11 @@ def min_curve(
             rows.append((float(s), np.nan, np.nan, (np.nan,) * len(names)))
             continue
         base = {scan.name: float(s), **fixed}
-        best_x, best_g2 = tuple(float(ax.values()[i]) for ax, i in zip(inner, idx)), cells[idx]
-        if refine:
-            best_x, best_g2 = refine_min(
-                lambda x: fn(**dict(zip(names, map(float, x))), **base)[0],
-                best_x,
-                bounds=[(ax.lo, ax.hi) for ax in inner],
-            )
+        best_x, best_g2 = refine_min(
+            lambda x: fn(**dict(zip(names, map(float, x))), **base)[0],
+            tuple(float(ax.values()[i]) for ax, i in zip(inner, idx)),
+            bounds=[(ax.lo, ax.hi) for ax in inner],
+        )
         n_at = fn(**dict(zip(names, best_x)), **base)[1]
         rows.append((float(s), float(best_g2), float(n_at), tuple(best_x)))
     return rows

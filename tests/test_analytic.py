@@ -4,20 +4,10 @@ import numpy as np
 import pytest
 
 from antibunch import analytic, states
-from antibunch.analytic import SqueezeParam, effective_split, optimal_amplitude_k
+from antibunch.analytic import effective_split, optimal_amplitude_k
 from antibunch.beamsplitter import BeamsplitterParams, g2_from_coeffs, output_moments
 from antibunch.errors import DegenerateSplitterError
 from antibunch.optimize import refine_min
-
-
-class TestSqueezeParam:
-    def test_xi(self):
-        p = SqueezeParam(0.2, np.pi / 3)
-        assert p.xi == pytest.approx(0.2 * np.exp(1j * np.pi / 3))
-
-    def test_negative_r_rejected(self):
-        with pytest.raises(ValueError):
-            SqueezeParam(-0.1)
 
 
 class TestOptimalAmplitudeK:

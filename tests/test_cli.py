@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, exit codes, file outputs."""
 
+import csv
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import antibunch
-from antibunch import cli, fock
+from antibunch import cli, figures, fock
 from antibunch.errors import ConfigError, TruncationError
 
 
@@ -187,12 +188,15 @@ class TestRefusedValues:
          ({"kind": "coherent", "alpha": 1.5}, ["--dim", "8"]),
          ({"kind": "phase_modified", "alpha": [0.0, 3.0], "dim": 8}, []),
          ({"kind": "kerr_coherent", "alpha": 3, "chi_t": 0.05, "dim": 8}, []),
-         ({"kind": "cat", "alpha_sch": 3, "parity": 1, "dim": 8}, [])],
+         ({"kind": "cat", "alpha_sch": 3, "parity": 1, "dim": 8}, []),
+         ({"kind": "coherent", "alpha": 1e200}, []),
+         ({"kind": "coherent", "alpha": 1e200, "dim": 8}, []),
+         ({"kind": "squeezed_coherent", "alpha": 1e200, "xi": 0.1}, [])],
         ids=["dim-negative", "dim-fractional", "dim-zero", "dim-flag-zero", "fock-n-negative",
              "fock-n-fractional", "cat-parity-2", "cat-parity-fractional", "c2-above-1",
              "chi_t-nan", "alpha-infinity", "alpha-minus-infinity", "coherent-truncated",
              "dim-flag-truncates", "phase_modified-truncated", "kerr_coherent-truncated",
-             "cat-truncated"],
+             "cat-truncated", "coherent-huge", "coherent-huge-dim", "squeezed_coherent-huge"],
     )
     def test_g2_state_value(self, tmp_path, capsys, state, extra):
         cfg = write_config(tmp_path, {"state": state})
@@ -200,12 +204,23 @@ class TestRefusedValues:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    def test_huge_cat_amplitude_in_a_pair(self, tmp_path, capsys):
+        # (1 + |alpha|)^2 overflows a float: refused, not an OverflowError
+        cfg = write_config(tmp_path, {
+            "state_a": {"kind": "cat", "alpha_sch": 1e200, "parity": 1},
+            "state_b": {"kind": "coherent", "alpha": 0.3},
+            "beamsplitter": {"R": 0.5},
+        })
+        assert cli.main(["g2", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: amplitude (1e+200") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "name, config, extra",
         [("fig2", None, ["--dim", "0"]), ("fig2", {"grid": 0}, []),
-         ("fig2", {"grid": 2.5}, []), ("fig3b", {"refine": "no"}, []),
+         ("fig2", {"grid": 2.5}, []), ("fig3b", {"alpha_lo": "no"}, []),
          ("fig2", {"alpha": float("nan")}, []), ("fig3b", {"alpha_hi": float("inf")}, [])],
-        ids=["dim-flag-zero", "grid-zero", "grid-fractional", "refine-string",
+        ids=["dim-flag-zero", "grid-zero", "grid-fractional", "float-key-string",
              "alpha-nan", "alpha_hi-infinity"],
     )
     def test_figure_value(self, tmp_path, capsys, name, config, extra):
@@ -245,19 +260,38 @@ class TestRefusedValues:
 
 class TestFigureCommand:
     def test_writes_csv_and_meta(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"count": 2, "inner_grid": 11, "refine": False})
+        cfg = write_config(tmp_path, {"count": 2, "inner_grid": 11})
         out = tmp_path / "out"
         rc = cli.main(["figure", "fig3b", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
-        from antibunch.figures import read_csv
-
-        columns, rows = read_csv(out / "fig3b.csv")
-        assert columns == ("alpha", "min_g2", "n_mean", "R_opt", "phi_opt", "defined")
-        assert len(rows) == 2
+        res = figures.fig3b(count=2, inner_grid=11)
+        with open(out / "fig3b.csv", newline="") as fh:
+            columns, *rows = csv.reader(fh)
+        assert tuple(columns) == ("alpha", "min_g2", "n_mean", "R_opt", "phi_opt", "defined")
+        # 17 significant digits: every cell parses back to the float written
+        assert [[float(v) for v in row] for row in rows] == [list(r) for r in res.rows]
         meta = json.loads((out / "fig3b.meta.json").read_text())
         assert meta["figure"] == "fig3b"
         assert meta["parameters"]["count"] == 2
-        assert meta["parameters"]["refine"] is False
+
+    @pytest.mark.parametrize("name, config", [
+        ("fig2", {"grid": 3}),
+        ("fig3a", {"grid": 3, "r_hi": 0.4}),
+        ("fig3b", {"count": 2, "inner_grid": 5}),
+        ("fig4", {"count": 2, "inner_count": 5}),
+        ("fig5", {"sch_count": 3, "alpha_count": 3}),
+        ("fig6", {"r_count": 2, "alpha_count": 3, "alpha_hi": 1.0}),
+    ], ids=["fig2", "fig3a", "fig3b", "fig4", "fig5", "fig6"])
+    def test_meta_parameters_are_a_config(self, tmp_path, name, config):
+        first, second = tmp_path / "first", tmp_path / "second"
+        cfg = write_config(tmp_path, config)
+        assert cli.main(["figure", name, "--config", str(cfg), "--out", str(first)]) == 0
+        meta = json.loads((first / f"{name}.meta.json").read_text())
+        assert meta["parameters"] == {**meta["parameters"], **config}
+        cfg = write_config(tmp_path, meta["parameters"], name="parameters.json")
+        assert cli.main(["figure", name, "--config", str(cfg), "--out", str(second)]) == 0
+        csv_name = f"{name}.csv"
+        assert (second / csv_name).read_text() == (first / csv_name).read_text()
 
     def test_unknown_figure_exits_3(self):
         assert cli.main(["figure", "fig99"]) == 3

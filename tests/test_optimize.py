@@ -206,9 +206,7 @@ class TestMinCurve:
         def fn(s=0.0, x=0.0):
             return (x - s) ** 2 + 0.1 * s, s + x
 
-        rows = min_curve(
-            fn, Axis("s", 0.0, 1.0, 3), [Axis("x", 0.0, 1.0, 11)], refine=True
-        )
+        rows = min_curve(fn, Axis("s", 0.0, 1.0, 3), [Axis("x", 0.0, 1.0, 11)])
         assert len(rows) == 3
         for s, g2, n_at, argmin in rows:
             assert g2 == pytest.approx(0.1 * s, abs=1e-8)
@@ -219,17 +217,18 @@ class TestMinCurve:
         def fn(s=0.0, x=0.0):
             return (x - 0.37) ** 2, x
 
-        coarse = min_curve(fn, Axis("s", 0.0, 0.0, 1), [Axis("x", 0.0, 1.0, 5)], refine=False)
-        fine = min_curve(fn, Axis("s", 0.0, 0.0, 1), [Axis("x", 0.0, 1.0, 5)], refine=True)
-        assert fine[0][1] <= coarse[0][1]
+        axes = (Axis("s", 0.0, 0.0, 1), Axis("x", 0.0, 1.0, 5))
+        coarse = sweep(SweepSpec(axes=axes, objective=fn))
+        fine = min_curve(fn, axes[0], axes[1:])
+        assert fine[0][1] <= coarse.min_g2
+        assert fine[0][3][0] == pytest.approx(0.37, abs=1e-4)
 
-    @pytest.mark.parametrize("refine", [False, True])
-    def test_dark_scan_value_gives_undefined_row(self, refine):
+    def test_dark_scan_value_gives_undefined_row(self):
         def fn(s=0.0, x=0.0, y=0.0):
             return np.where(s == 0.0, np.nan, (x - s) ** 2 + y), s
 
         inner = [Axis("x", 0.0, 1.0, 5), Axis("y", 0.0, 1.0, 3)]
-        rows = min_curve(fn, Axis("s", 0.0, 1.0, 3), inner, refine=refine)
+        rows = min_curve(fn, Axis("s", 0.0, 1.0, 3), inner)
         s, g2, n_at, argmin = rows[0]
         assert s == 0.0 and np.isnan(g2) and np.isnan(n_at)
         assert len(argmin) == 2 and np.isnan(argmin).all()
@@ -247,7 +246,7 @@ class TestMinCurve:
 
         monkeypatch.setattr(optimize, "sweep", counted)
         scan, inner = Axis("s", 0.0, 1.0, 3), [Axis("x", 0.0, 1.0, 5), Axis("y", 0.0, 1.0, 3)]
-        rows = min_curve(lambda s, x, y: ((x - s) ** 2 + y, s), scan, inner, refine=False)
+        rows = min_curve(lambda s, x, y: ((x - s) ** 2 + y, s), scan, inner)
         assert len(rows) == 3
         assert [c.axes for c in calls] == [(scan, *inner)]
 

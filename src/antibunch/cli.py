@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage error (argparse), 3 configuration error
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -34,11 +35,18 @@ _STATE_FIELDS = {
 
 
 def _as_complex(value, field: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
+    if type(value) in (int, float):
+        return complex(_as_float(value, field))
     if isinstance(value, list) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_as_float(value[0], field), _as_float(value[1], field))
     raise ConfigError(f"{field!r} must be a number or an [re, im] pair, got {value!r}")
+
+
+def _as_float(value, field: str) -> float:
+    """A JSON number that fits a float; a string or boolean is refused, never coerced."""
+    if type(value) not in (int, float) or abs(value) > sys.float_info.max:
+        raise ConfigError(f"{field!r} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _as_int(value, field: str) -> int:
@@ -93,10 +101,10 @@ def build_state(spec: dict, dim_override: int | None = None) -> fock.FockVector:
         return states.phase_modified_coherent(alpha, fock.amplitude_dim(alpha, dim))
     if kind == "kerr_coherent":
         alpha = _as_complex(spec["alpha"], "alpha")
-        params = states.KerrParams(alpha=alpha, chi_t=float(spec["chi_t"]))
+        params = states.KerrParams(alpha=alpha, chi_t=_as_float(spec["chi_t"], "chi_t"))
         return states.kerr_coherent(params, fock.amplitude_dim(alpha, dim))
     if kind == "vacuum_two_photon":
-        return states.vacuum_two_photon(float(spec["c2"]), dim or 3)
+        return states.vacuum_two_photon(_as_float(spec["c2"], "c2"), dim or 3)
     if kind == "cat":
         alpha_sch = _as_complex(spec["alpha_sch"], "alpha_sch")
         params = states.CatParams(alpha_sch=alpha_sch, parity=_as_int(spec["parity"], "parity"))
@@ -121,8 +129,14 @@ def _load_config(path: Path | None) -> object:
     def refuse(constant: str):
         raise ConfigError(f"config holds the non-finite number {constant}")
 
+    def finite(literal: str) -> float:
+        value = float(literal)
+        if np.isinf(value):  # a literal beyond the float range, such as 1e400
+            refuse(literal)
+        return value
+
     try:
-        return json.loads(text, parse_constant=refuse)
+        return json.loads(text, parse_constant=refuse, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
@@ -139,7 +153,8 @@ def _cmd_g2(args) -> int:
         _check_keys(cfg, {"state_a", "state_b", "beamsplitter"}, (), "config")
         bs = cfg["beamsplitter"]
         _check_keys(bs, {"R"}, {"phi"}, "beamsplitter spec")
-        params = BeamsplitterParams(R=float(bs["R"]), phi=float(bs.get("phi", 0.0)))
+        params = BeamsplitterParams(R=_as_float(bs["R"], "R"),
+                                    phi=_as_float(bs.get("phi", 0.0), "phi"))
         psi_a = build_state(cfg["state_a"], args.dim)
         psi_b = build_state(cfg["state_b"], args.dim)
         # The truncated rotation cuts every photon-number sector at the
@@ -346,6 +361,7 @@ def _cmd_selftest(args) -> int:
     return 0 if failures == 0 else 4
 
 
+@functools.cache  # one parser per process: rebuilding it was half of a warm g2 request
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="antibunch",

@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, exit codes, file outputs."""
 
+import argparse
 import csv
 import json
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +22,10 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+COHERENT_ARMS = {"state_a": {"kind": "coherent", "alpha": 0.3},
+                 "state_b": {"kind": "coherent", "alpha": 0.3}}
 
 
 class TestBuildState:
@@ -191,12 +197,14 @@ class TestRefusedValues:
          ({"kind": "cat", "alpha_sch": 3, "parity": 1, "dim": 8}, []),
          ({"kind": "coherent", "alpha": 1e200}, []),
          ({"kind": "coherent", "alpha": 1e200, "dim": 8}, []),
-         ({"kind": "squeezed_coherent", "alpha": 1e200, "xi": 0.1}, [])],
+         ({"kind": "squeezed_coherent", "alpha": 1e200, "xi": 0.1}, []),
+         ({"kind": "kerr_coherent", "alpha": 0.3, "chi_t": 10**400}, [])],
         ids=["dim-negative", "dim-fractional", "dim-zero", "dim-flag-zero", "fock-n-negative",
              "fock-n-fractional", "cat-parity-2", "cat-parity-fractional", "c2-above-1",
              "chi_t-nan", "alpha-infinity", "alpha-minus-infinity", "coherent-truncated",
              "dim-flag-truncates", "phase_modified-truncated", "kerr_coherent-truncated",
-             "cat-truncated", "coherent-huge", "coherent-huge-dim", "squeezed_coherent-huge"],
+             "cat-truncated", "coherent-huge", "coherent-huge-dim", "squeezed_coherent-huge",
+             "chi_t-integer-beyond-float"],
     )
     def test_g2_state_value(self, tmp_path, capsys, state, extra):
         cfg = write_config(tmp_path, {"state": state})
@@ -256,6 +264,41 @@ class TestRefusedValues:
         })
         assert cli.main(["g2", "--config", str(cfg)]) == 3
         assert capsys.readouterr().err == "config error: config holds the non-finite number NaN\n"
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [({"state": {"kind": "coherent", "alpha": True}}, "alpha"),
+         ({"state": {"kind": "coherent", "alpha": [True, 0]}}, "alpha"),
+         ({"state": {"kind": "kerr_coherent", "alpha": 0.3, "chi_t": "0.05"}}, "chi_t"),
+         ({"state": {"kind": "vacuum_two_photon", "c2": False}}, "c2"),
+         ({**COHERENT_ARMS, "beamsplitter": {"R": "0.5", "phi": True}}, "R")],
+        ids=["alpha-boolean", "alpha-pair-boolean", "chi_t-string", "c2-boolean",
+             "R-string-phi-boolean"],
+    )
+    def test_number_of_the_wrong_json_type(self, tmp_path, capsys, config, field):
+        # A string or boolean is refused, never coerced to a float.
+        cfg = write_config(tmp_path, config)
+        assert cli.main(["g2", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field!r} must be ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "config",
+        [{**COHERENT_ARMS, "beamsplitter": {"R": 1}},
+         {"state": {"kind": "coherent", "alpha": [0.3, 0]}}],
+        ids=["R-integer", "alpha-pair-integer"],
+    )
+    def test_json_integer_is_a_number(self, tmp_path, capsys, config):
+        cfg = write_config(tmp_path, config)
+        assert cli.main(["g2", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["g2"] == pytest.approx(1.0, abs=1e-8)
+
+    def test_float_literal_beyond_the_float_range(self, tmp_path, capsys):
+        # json reads 1e400 as inf, past the parse_constant hook that refuses NaN.
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"state": {"kind": "kerr_coherent", "alpha": 0.3, "chi_t": 1e400}}')
+        assert cli.main(["g2", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == "config error: config holds the non-finite number 1e400\n"
 
 
 class TestFigureCommand:
@@ -344,6 +387,41 @@ class TestOptionsPerSubcommand:
             cli.main(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {refused}" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, tmp_path, capsys, monkeypatch):
+        # A usage error and a config error in between leave the next
+        # request's output unchanged, and the parser is built once.
+        built = []
+
+        class Recording(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.prog)
+
+        monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Recording))
+        pair = write_config(tmp_path, {
+            "state_a": {"kind": "kerr_coherent", "alpha": 0.3, "chi_t": 0.05},
+            "state_b": {"kind": "coherent", "alpha": 0.3},
+            "beamsplitter": {"R": 0.3873, "phi": 0.9},
+        })
+        bad = write_config(tmp_path, {"state": {"kind": "coherent", "alpha": True}}, "bad.json")
+        cli.build_parser.cache_clear()
+        try:
+            assert cli.main(["g2", "--config", str(pair)]) == 0
+            first = capsys.readouterr().out
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["g2", "--config", str(pair), "--out", "elsewhere"])
+            assert exc.value.code == 2
+            assert cli.main(["g2", "--config", str(bad)]) == 3
+            capsys.readouterr()
+            assert cli.main(["g2", "--config", str(pair)]) == 0
+            assert capsys.readouterr().out == first
+        finally:
+            cli.build_parser.cache_clear()  # drop the parser built from Recording
+        assert built == ["antibunch", "antibunch g2", "antibunch figure", "antibunch selftest"]
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestEntrypoint:

@@ -218,29 +218,30 @@ def _moment_g2(ma: np.ndarray, mb: np.ndarray, R, phi) -> tuple[np.ndarray, np.n
     # Table entries first: ma[p, q] is one entry across all tables.
     ma = ma.transpose(ma.ndim - 2, ma.ndim - 1, *range(ma.ndim - 2))
     mb = mb.transpose(mb.ndim - 2, mb.ndim - 1, *range(mb.ndim - 2))
-    n_mean = (
-        u * u * ma[1, 1]
-        + abs(v) ** 2 * mb[1, 1]
-        + u * v * ma[1, 0] * mb[0, 1]
-        + u * np.conj(v) * ma[0, 1] * mb[1, 0]
-    ).real
+    # The tables are Hermitian, so the two cross terms of n_mean, and terms
+    # (j, k) and (k, j) of the numerator below, are complex conjugates (to
+    # rounding): each pair is formed once and its real part used twice.  The
+    # products and the order of the sums are those of the nine-term expansion.
+    cross = (u * v * ma[1, 0] * mb[0, 1]).real
+    n_mean = (u * u * ma[1, 1] + abs(v) ** 2 * mb[1, 1]).real + cross + cross
     # A^2 = u^2 a^2 + 2uv ab + v^2 b^2 term degrees in (a, b):
     weights = (u * u, 2.0 * u * v, v * v)
-    conj_weights = tuple(np.conj(w) for w in weights)
     deg_a = (2, 1, 0)
     deg_b = (0, 1, 2)
-    g2num = 0.0j
+    terms = [[None] * 3 for _ in range(3)]
     for j in range(3):
-        for k in range(3):
+        conj_weight = np.conj(weights[j])
+        for k in range(j, 3):
+            terms[j][k] = terms[k][j] = (
+                conj_weight * weights[k] * ma[deg_a[j], deg_a[k]] * mb[deg_b[j], deg_b[k]]
+            ).real
+    g2num = 0.0
+    for row in terms:
+        for term in row:
             # Not +=: a later term can broadcast to a larger shape than the sum so far.
-            g2num = g2num + (
-                conj_weights[j]
-                * weights[k]
-                * ma[deg_a[j], deg_a[k]]
-                * mb[deg_b[j], deg_b[k]]
-            )
+            g2num = g2num + term
     n_mean = np.where(n_mean < INTENSITY_FLOOR, np.nan, n_mean)
-    return g2num.real / (n_mean * n_mean), n_mean
+    return g2num / (n_mean * n_mean), n_mean
 
 
 def output_moments(
@@ -254,12 +255,14 @@ def output_moments(
     Agrees with output_g2 to roundoff; exists because the joint space for a
     large coherent amplitude would be prohibitively big to rotate.
     """
-    g2, n_mean = (
-        out.item()
-        for out in _moment_g2(
-            _ladder_moments(state_a.amps), _ladder_moments(state_b.amps), params.R, params.phi
-        )
+    return _scalar_g2(
+        _ladder_moments(state_a.amps), _ladder_moments(state_b.amps), params.R, params.phi
     )
+
+
+def _scalar_g2(ma: np.ndarray, mb: np.ndarray, R, phi) -> tuple[float, float]:
+    """_moment_g2 of one pair of (3, 3) tables as floats; a dark output raises."""
+    g2, n_mean = (out.item() for out in _moment_g2(ma, mb, R, phi))
     if math.isnan(n_mean):
         raise VacuumOutputError(f"output intensity below floor {INTENSITY_FLOOR:g}; g2 undefined")
     return g2, n_mean

@@ -198,6 +198,8 @@ def _cmd_figure(args) -> int:
             if not _matches(value, default):
                 raise ConfigError(f"{key!r} in {args.name} config must have the type of "
                                   f"its default {default!r}, got {value!r}")
+            if type(default) is float:
+                overrides[key] = _as_float(value, key)
     overrides.update(_dim_override_kwargs(builder, args.dim))
     result = builder(**overrides)
     out_dir = Path(args.out)

@@ -4,11 +4,12 @@ Each builder returns a FigureResult (column names, rows, reproducibility
 metadata); file writing lives in the CLI.  meta's parameters are the
 builder's own keyword arguments, so they are a valid config for it.  The
 g2 pipelines are registered in the optimizer's objective registry under
-stable names so sweep specs can name them.  Given open-grid arrays they
-build one input state and one moment table per distinct value on each axis
-and evaluate the whole map as one array expression, with NaN on dark cells;
-given scalars they return floats and raise VacuumOutputError on a dark
-output.
+stable names so sweep specs can name them.  Each input arm's moment table
+is built once per distinct argument tuple and cached, so a refinement that
+moves only the splitter, or only one arm, rebuilds nothing else.  Given
+open-grid arrays the objectives evaluate the whole map as one array
+expression, with NaN on dark cells; given scalars they return floats and
+raise VacuumOutputError on a dark output.
 
 Phases follow the normalized-to-pi convention of the beamsplitter module in
 all inputs and outputs; radians never appear in emitted data.
@@ -19,12 +20,14 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from . import lindblad, optimize, states
-from .beamsplitter import BeamsplitterParams, _ladder_moments, _moment_g2, output_moments
+from .beamsplitter import _ladder_moments, _moment_g2, _scalar_g2
+from .beamsplitter import output_moments  # noqa: F401  (still importable from here)
 from .fock import default_dim, squeeze_dim
 from .optimize import Axis, SweepSpec
 from .states import CatParams, KerrParams
@@ -54,53 +57,86 @@ def _meta(name: str, params: dict, t0: float, extra: dict | None = None) -> dict
 
 # ---------------------------------------------------------------- objectives
 
-def _tables(build, *args) -> np.ndarray:
-    """Moment tables of build(*values), one per cell of the broadcast args: (..., 3, 3)."""
-    args = np.broadcast_arrays(*args)
-    table = np.empty(args[0].shape + (3, 3), dtype=complex)
-    for idx in np.ndindex(args[0].shape):
-        table[idx] = _ladder_moments(build(*(a[idx].item() for a in args)).amps)
+@lru_cache(maxsize=256)
+def _arm(factory, *args) -> np.ndarray:
+    """Read-only moment table of the input state factory(*args), built once per args."""
+    table = _ladder_moments(factory(*args).amps)
+    table.setflags(write=False)
     return table
 
 
-def _output(build_a, args_a, build_b, args_b, R, phi):
-    """(g2, n_mean) of output mode A for inputs build_a(*args_a), build_b(*args_b).
+def _tables(factory, *args) -> np.ndarray:
+    """Moment tables of factory(*values), one per cell of the broadcast args: (..., 3, 3).
+
+    Python numbers, which every refinement step passes, get the cached
+    table itself.
+    """
+    if all(type(a) in (int, float) for a in args):
+        return _arm(factory, *args)
+    args = np.broadcast_arrays(*args)
+    table = np.empty(args[0].shape + (3, 3), dtype=complex)
+    for idx in np.ndindex(args[0].shape):
+        table[idx] = _arm(factory, *(a.item(idx) for a in args))
+    return table
+
+
+def _output(factory_a, args_a, factory_b, args_b, R, phi):
+    """(g2, n_mean) of output mode A for inputs factory_a(*args_a), factory_b(*args_b).
 
     All-scalar inputs give floats and raise VacuumOutputError on a dark
     output; otherwise the arrays broadcast and dark cells are NaN.
     """
-    if all(np.ndim(x) == 0 for x in (*args_a, *args_b, R, phi)):
-        return output_moments(build_a(*args_a), build_b(*args_b), BeamsplitterParams(R=R, phi=phi))
-    return _moment_g2(_tables(build_a, *args_a), _tables(build_b, *args_b), R, phi)
+    tables = _tables(factory_a, *args_a), _tables(factory_b, *args_b)
+    # np.ndim alone costs microseconds on a Python number.
+    if all(type(x) in (int, float) or np.ndim(x) == 0 for x in (*args_a, *args_b, R, phi)):
+        return _scalar_g2(*tables, R, phi)
+    return _moment_g2(*tables, R, phi)
+
+
+# Input-state factories beyond the states module's own: every argument, the
+# truncation included, is part of the cache key of _arm.
+
+def _coherent(alpha, dim):
+    """Coherent arm; dim None takes fock.default_dim(alpha)."""
+    return states.coherent(alpha, int(default_dim(alpha) if dim is None else dim))
+
+
+def _kerr(alpha, chi_t, dim):
+    return states.kerr_coherent(KerrParams(alpha=alpha, chi_t=chi_t), dim)
+
+
+def _cat(alpha_sch, parity, dim):
+    return states.cat_state(CatParams(alpha_sch=alpha_sch, parity=int(parity)), dim)
+
+
+def _squeezed(r, omega, dim):
+    """Squeezed vacuum with xi = r e^{i omega}; dim None takes max(24, squeeze_dim(r))."""
+    dim = max(24, squeeze_dim(r)) if dim is None else dim
+    return states.squeezed_vacuum(r * np.exp(1j * omega), int(dim))
 
 
 def phase_modified_mix(R, phi, alpha=0.3, dim=16):
     """g2 of output A: coherent state with rotated two-photon amplitude vs coherent."""
     dim = int(dim)
-    return _output(lambda a: states.phase_modified_coherent(a, dim), (alpha,),
-                   lambda a: states.coherent(a, dim), (alpha,), R, phi)
+    return _output(states.phase_modified_coherent, (alpha, dim), _coherent, (alpha, dim), R, phi)
 
 
 def kerr_mix(R, phi, alpha=0.3, chi_t=0.05, dim=16):
     """g2 of output A: Kerr-evolved coherent vs coherent of the same alpha."""
     dim = int(dim)
-    return _output(lambda a, c: states.kerr_coherent(KerrParams(alpha=a, chi_t=c), dim),
-                   (alpha, chi_t), lambda a: states.coherent(a, dim), (alpha,), R, phi)
+    return _output(_kerr, (alpha, chi_t, dim), _coherent, (alpha, dim), R, phi)
 
 
 def two_photon_mix(alpha, c2, R=0.5, phi=0.5, dim=16):
     """g2 of output A: vacuum+two-photon superposition vs coherent."""
     dim = int(dim)
-    return _output(lambda c: states.vacuum_two_photon(c, dim), (c2,),
-                   lambda a: states.coherent(a, dim), (alpha,), R, phi)
+    return _output(states.vacuum_two_photon, (c2, dim), _coherent, (alpha, dim), R, phi)
 
 
 def cat_mix(alpha_sch, alpha, parity=1, R=0.5, phi=0.5, dim=16):
     """g2 of output A: even/odd cat vs coherent."""
     dim = int(dim)
-    return _output(lambda s, p: states.cat_state(CatParams(alpha_sch=s, parity=int(p)), dim),
-                   (alpha_sch, parity),
-                   lambda a: states.coherent(a, dim), (alpha,), R, phi)
+    return _output(_cat, (alpha_sch, parity, dim), _coherent, (alpha, dim), R, phi)
 
 
 def squeezed_mix(r=0.05, alpha=0.5, phi=1.0, R=0.1, omega=0.0, dim_a=None, dim_b=None):
@@ -108,14 +144,7 @@ def squeezed_mix(r=0.05, alpha=0.5, phi=1.0, R=0.1, omega=0.0, dim_a=None, dim_b
 
     omega is in radians (an internal state parameter, not an I/O phase).
     """
-    def squeezed(r, omega):
-        dim = max(24, squeeze_dim(r)) if dim_a is None else dim_a
-        return states.squeezed_vacuum(r * np.exp(1j * omega), int(dim))
-
-    def coherent(alpha):
-        return states.coherent(alpha, int(default_dim(alpha) if dim_b is None else dim_b))
-
-    return _output(squeezed, (r, omega), coherent, (alpha,), R, phi)
+    return _output(_squeezed, (r, omega, dim_a), _coherent, (alpha, dim_b), R, phi)
 
 
 optimize.OBJECTIVE_REGISTRY.update(

@@ -227,9 +227,10 @@ class TestRefusedValues:
         "name, config, extra",
         [("fig2", None, ["--dim", "0"]), ("fig2", {"grid": 0}, []),
          ("fig2", {"grid": 2.5}, []), ("fig3b", {"alpha_lo": "no"}, []),
-         ("fig2", {"alpha": float("nan")}, []), ("fig3b", {"alpha_hi": float("inf")}, [])],
+         ("fig2", {"alpha": float("nan")}, []), ("fig3b", {"alpha_hi": float("inf")}, []),
+         ("fig2", {"alpha": 10**400}, [])],
         ids=["dim-flag-zero", "grid-zero", "grid-fractional", "float-key-string",
-             "alpha-nan", "alpha_hi-infinity"],
+             "alpha-nan", "alpha_hi-infinity", "alpha-integer-beyond-float"],
     )
     def test_figure_value(self, tmp_path, capsys, name, config, extra):
         argv = ["figure", name, "--out", str(tmp_path), *extra]

@@ -181,6 +181,61 @@ class TestScanCurves:
             fig4(c2_lo=0.2, c2_hi=0.1, count=2)
 
 
+class TestArmTables:
+    def test_fig3b_builds_each_arm_once_per_alpha(self, monkeypatch):
+        # (R, phi) move neither arm, so the coarse sweep and every simplex
+        # evaluation of a row share one Kerr and one coherent table.
+        calls = {"kerr_coherent": [], "coherent": []}
+        for name, seen in calls.items():
+            original = getattr(figures.states, name)
+            monkeypatch.setattr(figures.states, name,
+                                lambda p, dim, f=original, seen=seen: seen.append(p) or f(p, dim))
+        figures._arm.cache_clear()
+        res = fig3b(count=2, inner_grid=5)
+        assert [p.alpha for p in calls["kerr_coherent"]] == [0.05, 0.5]
+        assert calls["coherent"] == [0.05, 0.5]
+        assert [row[0] for row in res.rows] == [0.05, 0.5]
+
+    def test_cached_tables_are_read_only(self):
+        table = figures._arm(figures._kerr, 0.3, 0.05, 16)
+        assert table.shape == (3, 3) and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1, 1] = 0.0
+        assert figures._arm(figures._kerr, 0.3, 0.05, 16) is table
+
+
+def _mp_moment_g2(ma, mb, R, phi):
+    """The nine-term moment expansion of g2 evaluated by mpmath on the same tables."""
+    import mpmath
+
+    ma, mb = ([[mpmath.mpc(complex(x)) for x in row] for row in m] for m in (ma, mb))
+    u = mpmath.sqrt(1 - mpmath.mpf(R))
+    v = mpmath.sqrt(mpmath.mpf(R)) * mpmath.expjpi(mpmath.mpf(phi))
+    n_mean = (u * u * ma[1][1] + abs(v) ** 2 * mb[1][1]
+              + u * v * ma[1][0] * mb[0][1] + u * mpmath.conj(v) * ma[0][1] * mb[1][0]).real
+    weights, deg_a, deg_b = (u * u, 2 * u * v, v * v), (2, 1, 0), (0, 1, 2)
+    num = sum(mpmath.conj(weights[j]) * weights[k] * ma[deg_a[j]][deg_a[k]] * mb[deg_b[j]][deg_b[k]]
+              for j in range(3) for k in range(3))
+    return num.real / n_mean ** 2
+
+
+class TestMomentG2Accuracy:
+    # chi_t and alpha_hi of perfbench's interferometric_maps fig3b at seeds
+    # 7 and 1902.  The optima there have g2 down to 5e-4, where the
+    # numerator cancels: about ten digits survive in double arithmetic.
+    @pytest.mark.parametrize("chi_t, alpha_hi", [(0.047107583928007096, 0.5182080137952835),
+                                                 (0.05416843368635287, 0.5091397782503961)])
+    def test_fig3b_optima_match_a_40_digit_evaluation(self, chi_t, alpha_hi):
+        mpmath = pytest.importorskip("mpmath")
+        for alpha, _, _, R, phi, _ in fig3b(chi_t=chi_t, alpha_hi=alpha_hi).rows:
+            ma = figures._arm(figures._kerr, alpha, chi_t, 16)
+            mb = figures._arm(figures._coherent, alpha, 16)
+            g2 = figures._moment_g2(ma, mb, R, phi)[0].item()
+            with mpmath.workdps(40):
+                want = float(_mp_moment_g2(ma, mb, R, phi))
+            assert g2 == pytest.approx(want, rel=2e-10, abs=0.0)
+
+
 class TestPhaseModifiedMap:
     def test_small_grid(self):
         res = fig2(grid=11)

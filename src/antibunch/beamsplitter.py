@@ -198,50 +198,64 @@ def _ladder_moments(amps: np.ndarray) -> np.ndarray:
     return (np.conj(shifted)[:, np.newaxis, :] * shifted[np.newaxis, :, :]).sum(axis=-1)
 
 
+def _times(xr, xi, y):
+    """(xr + i xi) y as (real, imaginary) parts, for y a complex number or array."""
+    return xr * y.real - xi * y.imag, xr * y.imag + xi * y.real
+
+
+def _moment_sums(a, b, u, vr, vi):
+    """(<A+^2 A^2>, <A+ A>) of A = u a + v b, v = vr + i vi, in real arithmetic.
+
+    a[p][q] and b[p][q] are the inputs' <a+^p a^q>, as Python complex
+    numbers or complex arrays; only their .real and .imag are read, so the
+    same lines run on floats and on arrays.  The tables are Hermitian, so
+    the two cross terms of n_mean, and terms (j, k) and (k, j) of the
+    numerator, are complex conjugates (to rounding): each pair is formed
+    once and its real part used twice.
+    """
+    cross = _times(*_times(u * vr, u * vi, a[1][0]), b[0][1])[0]
+    n_mean = u * u * a[1][1].real + (vr * vr + vi * vi) * b[1][1].real + cross + cross
+    # A^2 = u^2 a^2 + 2uv ab + v^2 b^2: weight j has degrees (2 - j, j) in (a, b).
+    w = ((u * u, 0.0), (2.0 * u * vr, 2.0 * u * vi), (vr * vr - vi * vi, 2.0 * vr * vi))
+    terms = []
+    for j, (wr, wi) in enumerate(w):
+        for k in range(j, 3):
+            # Re(conj(w_j) w_k <a+^(2-j) a^(2-k)> <b+^j b^k>), multiplied left to right
+            xr, xi = w[k]
+            yr, yi = _times(wr * xr + wi * xi, wr * xi - wi * xr, a[2 - j][2 - k])
+            y = b[j][k]
+            terms.append(yr * y.real - yi * y.imag)
+    t00, t01, t02, t11, t12, t22 = terms
+    # The nine terms in row order, term (k, j) standing for (j, k).
+    return t00 + t01 + t02 + t01 + t11 + t12 + t02 + t12 + t22, n_mean
+
+
 def _moment_g2(ma: np.ndarray, mb: np.ndarray, R, phi) -> tuple[np.ndarray, np.ndarray]:
     """(g2, n_mean) of output mode A from input moment tables, broadcast.
 
     ma and mb are <a+^p a^q> tables of shape (..., 3, 3); R and phi are
     scalars or arrays.  All leading shapes broadcast together, so a map
-    over (R, phi) or over input amplitudes is one array expression.  The
-    outputs are at least 1-d, and both are NaN where n_mean is below
-    INTENSITY_FLOOR.
+    over (R, phi) or over input amplitudes is one array expression.  Both
+    outputs are NaN where n_mean is below INTENSITY_FLOOR.  _scalar_g2 is
+    the same formula on Python floats, for one pair of (3, 3) tables.
+
+    The arithmetic (_moment_sums) is real: every complex product is written
+    out as real and imaginary parts.  numpy's complex multiply loops on
+    arrays use fused multiply-add, while its scalar path and Python's
+    complex do not, so complex arithmetic would round a cell of a map
+    differently from the same cell evaluated alone; real + - * / and sqrt
+    round identically on floats and arrays.
     """
-    # At least 1-d, so every step below is an array operation: numpy's
-    # scalar complex arithmetic rounds differently from its array loops, and
-    # a single cell must come out bit-identical to the same cell of a map.
-    R, phi = np.atleast_1d(np.asarray(R, dtype=float), np.asarray(phi, dtype=float))
+    R, phi = np.asarray(R, dtype=float), np.asarray(phi, dtype=float)
     if not ((0.0 <= R) & (R <= 1.0)).all():
         raise ValueError(f"reflectance must lie in [0, 1], got {R}")
-    u = np.sqrt(1.0 - R)
-    v = np.sqrt(R) * np.exp(1j * (np.pi * phi))
-    # Table entries first: ma[p, q] is one entry across all tables.
+    r, turn = np.sqrt(R), np.pi * phi
+    # Table entries first: ma[p][q] is one entry across all tables.
     ma = ma.transpose(ma.ndim - 2, ma.ndim - 1, *range(ma.ndim - 2))
     mb = mb.transpose(mb.ndim - 2, mb.ndim - 1, *range(mb.ndim - 2))
-    # The tables are Hermitian, so the two cross terms of n_mean, and terms
-    # (j, k) and (k, j) of the numerator below, are complex conjugates (to
-    # rounding): each pair is formed once and its real part used twice.  The
-    # products and the order of the sums are those of the nine-term expansion.
-    cross = (u * v * ma[1, 0] * mb[0, 1]).real
-    n_mean = (u * u * ma[1, 1] + abs(v) ** 2 * mb[1, 1]).real + cross + cross
-    # A^2 = u^2 a^2 + 2uv ab + v^2 b^2 term degrees in (a, b):
-    weights = (u * u, 2.0 * u * v, v * v)
-    deg_a = (2, 1, 0)
-    deg_b = (0, 1, 2)
-    terms = [[None] * 3 for _ in range(3)]
-    for j in range(3):
-        conj_weight = np.conj(weights[j])
-        for k in range(j, 3):
-            terms[j][k] = terms[k][j] = (
-                conj_weight * weights[k] * ma[deg_a[j], deg_a[k]] * mb[deg_b[j], deg_b[k]]
-            ).real
-    g2num = 0.0
-    for row in terms:
-        for term in row:
-            # Not +=: a later term can broadcast to a larger shape than the sum so far.
-            g2num = g2num + term
+    num, n_mean = _moment_sums(ma, mb, np.sqrt(1.0 - R), r * np.cos(turn), r * np.sin(turn))
     n_mean = np.where(n_mean < INTENSITY_FLOOR, np.nan, n_mean)
-    return g2num / (n_mean * n_mean), n_mean
+    return num / (n_mean * n_mean), n_mean
 
 
 def output_moments(
@@ -262,10 +276,16 @@ def output_moments(
 
 def _scalar_g2(ma: np.ndarray, mb: np.ndarray, R, phi) -> tuple[float, float]:
     """_moment_g2 of one pair of (3, 3) tables as floats; a dark output raises."""
-    g2, n_mean = (out.item() for out in _moment_g2(ma, mb, R, phi))
-    if math.isnan(n_mean):
+    R, phi = float(R), float(phi)
+    if not 0.0 <= R <= 1.0:
+        raise ValueError(f"reflectance must lie in [0, 1], got {R}")
+    # numpy's cos and sin, as in _moment_g2: math's need not round alike.
+    r, turn = math.sqrt(R), math.pi * phi
+    num, n_mean = _moment_sums(ma.tolist(), mb.tolist(), math.sqrt(1.0 - R),
+                               r * float(np.cos(turn)), r * float(np.sin(turn)))
+    if not n_mean >= INTENSITY_FLOOR:
         raise VacuumOutputError(f"output intensity below floor {INTENSITY_FLOOR:g}; g2 undefined")
-    return g2, n_mean
+    return num / (n_mean * n_mean), n_mean
 
 
 def heisenberg_residual(params: BeamsplitterParams, dim_a: int, dim_b: int) -> float:

@@ -11,6 +11,7 @@ import argparse
 import functools
 import inspect
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -32,6 +33,20 @@ _STATE_FIELDS = {
     "squeezed_vacuum": {"xi"},
     "squeezed_coherent": {"alpha", "xi"},
 }
+
+
+# The most Fock states the CLI takes for one truncated space: --dim, a state
+# spec's dim, or a figure's dim, dim_a, dim_b or dim_single override, and
+# the joint space of fig7's dims_coupled.  A g2 pair at this dim holds 256 MB
+# of sector eigenvectors; a much larger truncation would exhaust memory
+# before the library could refuse it.
+MAX_DIM = 200
+
+
+def _check_dim(dim, field: str) -> None:
+    """Refuse a truncation that is not an integer in [2, MAX_DIM]."""
+    if type(dim) is not int or not 2 <= dim <= MAX_DIM:
+        raise ConfigError(f"{field} must be an integer in [2, {MAX_DIM}], got {dim!r}")
 
 
 def _as_complex(value, field: str) -> complex:
@@ -86,8 +101,8 @@ def build_state(spec: dict, dim_override: int | None = None) -> fock.FockVector:
         raise ConfigError(f"unknown state kind in {spec!r}; known: {sorted(_STATE_FIELDS)}")
     _check_keys(spec, _STATE_FIELDS[kind] | {"kind"}, {"dim"}, f"{kind!r} state spec")
     dim = dim_override if dim_override is not None else spec.get("dim")
-    if dim is not None and (type(dim) is not int or dim < 2):
-        raise ConfigError(f"dim must be an integer >= 2, got {dim!r}")
+    if dim is not None:
+        _check_dim(dim, "dim")
     # dim is now None or an int >= 2, so `dim or default` defaults only a missing dim.
 
     if kind == "fock":
@@ -200,6 +215,12 @@ def _cmd_figure(args) -> int:
                                   f"its default {default!r}, got {value!r}")
             if type(default) is float:
                 overrides[key] = _as_float(value, key)
+            if key.startswith("dim") and value is not None:
+                dims = value if isinstance(value, list) else [value]
+                for dim in dims:
+                    _check_dim(dim, repr(key))
+                if len(dims) > 1:  # fig7's dims_coupled
+                    _check_dim(math.prod(dims), f"the joint space of {key!r}")
     overrides.update(_dim_override_kwargs(builder, args.dim))
     result = builder(**overrides)
     out_dir = Path(args.out)
@@ -395,8 +416,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     commands = {"g2": _cmd_g2, "figure": _cmd_figure, "selftest": _cmd_selftest}
     try:
-        if args.dim is not None and args.dim < 2:
-            raise ConfigError(f"--dim must be an integer >= 2, got {args.dim}")
+        if args.dim is not None:
+            _check_dim(args.dim, "--dim")
         return commands[args.command](args)
     except VacuumOutputError as exc:
         print(f"undefined g2: {exc}", file=sys.stderr)

@@ -9,7 +9,9 @@ is built once per distinct argument tuple and cached, so a refinement that
 moves only the splitter, or only one arm, rebuilds nothing else.  Given
 open-grid arrays the objectives evaluate the whole map as one array
 expression, with NaN on dark cells; given scalars they return floats and
-raise VacuumOutputError on a dark output.
+raise VacuumOutputError on a dark output.  Both run the beamsplitter's one
+real-arithmetic moment kernel, so a scalar call returns its map cell bit
+for bit.
 
 Phases follow the normalized-to-pi convention of the beamsplitter module in
 all inputs and outputs; radians never appear in emitted data.

@@ -181,6 +181,7 @@ class TestRefusedValues:
         [({"kind": "coherent", "alpha": 0.3, "dim": -3}, []),
          ({"kind": "coherent", "alpha": 0.3, "dim": 2.5}, []),
          ({"kind": "coherent", "alpha": 0.3, "dim": 0}, []),
+         ({"kind": "coherent", "alpha": 0.3, "dim": cli.MAX_DIM + 1}, []),
          ({"kind": "coherent", "alpha": 0.3}, ["--dim", "0"]),
          ({"kind": "fock", "n": -1}, []),
          ({"kind": "fock", "n": 1.7}, []),
@@ -199,7 +200,7 @@ class TestRefusedValues:
          ({"kind": "coherent", "alpha": 1e200, "dim": 8}, []),
          ({"kind": "squeezed_coherent", "alpha": 1e200, "xi": 0.1}, []),
          ({"kind": "kerr_coherent", "alpha": 0.3, "chi_t": 10**400}, [])],
-        ids=["dim-negative", "dim-fractional", "dim-zero", "dim-flag-zero", "fock-n-negative",
+        ids=["dim-negative", "dim-fractional", "dim-zero", "dim-above-limit", "dim-flag-zero", "fock-n-negative",
              "fock-n-fractional", "cat-parity-2", "cat-parity-fractional", "c2-above-1",
              "chi_t-nan", "alpha-infinity", "alpha-minus-infinity", "coherent-truncated",
              "dim-flag-truncates", "phase_modified-truncated", "kerr_coherent-truncated",
@@ -228,9 +229,12 @@ class TestRefusedValues:
         [("fig2", None, ["--dim", "0"]), ("fig2", {"grid": 0}, []),
          ("fig2", {"grid": 2.5}, []), ("fig3b", {"alpha_lo": "no"}, []),
          ("fig2", {"alpha": float("nan")}, []), ("fig3b", {"alpha_hi": float("inf")}, []),
-         ("fig2", {"alpha": 10**400}, [])],
+         ("fig2", {"alpha": 10**400}, []), ("fig6", {"dim_a": 100_000_000}, []),
+         ("fig6", {"dim_b": 10**30}, []), ("fig6", {"dim_a": cli.MAX_DIM + 1}, []),
+         ("fig2", None, ["--dim", str(cli.MAX_DIM + 1)]), ("fig7", {"dims_coupled": [15, 14]}, [])],
         ids=["dim-flag-zero", "grid-zero", "grid-fractional", "float-key-string",
-             "alpha-nan", "alpha_hi-infinity", "alpha-integer-beyond-float"],
+             "alpha-nan", "alpha_hi-infinity", "alpha-integer-beyond-float", "dim_a-huge",
+             "dim_b-huge", "dim_a-above-limit", "dim-flag-above-limit", "dims_coupled-joint"],
     )
     def test_figure_value(self, tmp_path, capsys, name, config, extra):
         argv = ["figure", name, "--out", str(tmp_path), *extra]

@@ -1,6 +1,7 @@
 """Figure dataset builders and their CSV round trip."""
 
 import csv
+import itertools
 import warnings
 
 import numpy as np
@@ -230,10 +231,58 @@ class TestMomentG2Accuracy:
         for alpha, _, _, R, phi, _ in fig3b(chi_t=chi_t, alpha_hi=alpha_hi).rows:
             ma = figures._arm(figures._kerr, alpha, chi_t, 16)
             mb = figures._arm(figures._coherent, alpha, 16)
-            g2 = figures._moment_g2(ma, mb, R, phi)[0].item()
+            g2 = float(figures._moment_g2(ma, mb, R, phi)[0])
             with mpmath.workdps(40):
                 want = float(_mp_moment_g2(ma, mb, R, phi))
             assert g2 == pytest.approx(want, rel=2e-10, abs=0.0)
+
+    def test_fig4_optima_match_a_40_digit_evaluation(self):
+        # No deep cancellation on fig4's curve: g2 stays above 0.2.
+        mpmath = pytest.importorskip("mpmath")
+        for c2, min_g2, _, alpha, _, _ in fig4().rows:
+            ma = figures._arm(figures.states.vacuum_two_photon, c2, 16)
+            mb = figures._arm(figures._coherent, alpha, 16)
+            g2 = float(figures._moment_g2(ma, mb, 0.5, 0.5)[0])
+            with mpmath.workdps(40):
+                want = float(_mp_moment_g2(ma, mb, 0.5, 0.5))
+            assert g2 == min_g2
+            assert g2 == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+# Per objective: two swept axes of three values and the fixed parameters.
+# Each first cell has both arms in the vacuum, so it is dark.
+EXACT_CASES = {
+    "phase_modified_mix": (("alpha", (0.0, 0.17, 0.3)), ("R", (0.0, 0.3873, 0.9)), {"phi": 0.7}),
+    "kerr_mix": (("alpha", (0.0, 0.2, 0.45)), ("phi", (0.0, 0.911, 1.7)),
+                 {"R": 0.3906, "chi_t": 0.05}),
+    "two_photon_mix": (("c2", (0.0, 0.1, 0.45)), ("alpha", (0.0, 0.3, 1.1)),
+                       {"R": 0.3, "phi": 1.2}),
+    "cat_mix": (("alpha_sch", (0.0, 0.1, 0.25)), ("alpha", (0.0, 0.05, 0.3)),
+                {"R": 0.37, "phi": 0.8}),
+    "squeezed_mix": (("r", (0.0, 0.006, 0.018)), ("alpha", (0.0, 0.5, 3.0)),
+                     {"R": 0.15, "phi": 0.7, "omega": 0.4}),
+}
+
+
+class TestScalarCallEqualsMapCell:
+    # The moment kernel runs one body of real arithmetic on arrays and on
+    # Python floats, so a scalar call is the same cell of a map, bit for bit.
+    @pytest.mark.parametrize("name", sorted(EXACT_CASES))
+    def test_every_cell_bit_for_bit(self, name):
+        (name_0, values_0), (name_1, values_1), fixed = EXACT_CASES[name]
+        objective = getattr(figures, name)
+        g2_map, n_map = objective(**dict(zip((name_0, name_1), np.ix_(values_0, values_1))),
+                                  **fixed)
+        assert np.isnan(g2_map[0, 0]) and np.isnan(n_map[0, 0])
+        assert np.isfinite(g2_map[1:, 1:]).all()
+        for (i, v_0), (j, v_1) in itertools.product(enumerate(values_0), enumerate(values_1)):
+            cell = {name_0: v_0, name_1: v_1, **fixed}
+            if np.isnan(g2_map[i, j]):
+                assert np.isnan(n_map[i, j])
+                with pytest.raises(VacuumOutputError):
+                    objective(**cell)
+            else:
+                assert objective(**cell) == (g2_map[i, j], n_map[i, j])
 
 
 class TestPhaseModifiedMap:

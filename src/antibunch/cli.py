@@ -43,10 +43,11 @@ _STATE_FIELDS = {
 MAX_DIM = 200
 
 
-def _check_dim(dim, field: str) -> None:
-    """Refuse a truncation that is not an integer in [2, MAX_DIM]."""
+def _check_dim(dim, field: str) -> int:
+    """Refuse a truncation that is not an integer in [2, MAX_DIM]; return it."""
     if type(dim) is not int or not 2 <= dim <= MAX_DIM:
         raise ConfigError(f"{field} must be an integer in [2, {MAX_DIM}], got {dim!r}")
+    return dim
 
 
 def _as_complex(value, field: str) -> complex:
@@ -104,33 +105,33 @@ def build_state(spec: dict, dim_override: int | None = None) -> fock.FockVector:
     if dim is not None:
         _check_dim(dim, "dim")
     # dim is now None or an int >= 2, so `dim or default` defaults only a missing dim.
+    # A default truncation is bounded too, before the state's arrays are built.
+    field = f"truncation of the {kind!r} state"
 
     if kind == "fock":
         n = _as_int(spec["n"], "n")
-        return fock.basis(dim or max(n + 1, 4), n)
-    if kind == "coherent":
+        return fock.basis(_check_dim(dim or max(n + 1, 4), field), n)
+    if kind in ("coherent", "phase_modified", "kerr_coherent"):
         alpha = _as_complex(spec["alpha"], "alpha")
-        return states.coherent(alpha, fock.amplitude_dim(alpha, dim))
-    if kind == "phase_modified":
-        alpha = _as_complex(spec["alpha"], "alpha")
-        return states.phase_modified_coherent(alpha, fock.amplitude_dim(alpha, dim))
-    if kind == "kerr_coherent":
-        alpha = _as_complex(spec["alpha"], "alpha")
+        dim = _check_dim(fock.amplitude_dim(alpha, dim), field)
+        if kind == "coherent":
+            return states.coherent(alpha, dim)
+        if kind == "phase_modified":
+            return states.phase_modified_coherent(alpha, dim)
         params = states.KerrParams(alpha=alpha, chi_t=_as_float(spec["chi_t"], "chi_t"))
-        return states.kerr_coherent(params, fock.amplitude_dim(alpha, dim))
+        return states.kerr_coherent(params, dim)
     if kind == "vacuum_two_photon":
         return states.vacuum_two_photon(_as_float(spec["c2"], "c2"), dim or 3)
     if kind == "cat":
         alpha_sch = _as_complex(spec["alpha_sch"], "alpha_sch")
         params = states.CatParams(alpha_sch=alpha_sch, parity=_as_int(spec["parity"], "parity"))
-        return states.cat_state(params, fock.amplitude_dim(alpha_sch, dim))
-    if kind == "squeezed_vacuum":
-        xi = _as_complex(spec["xi"], "xi")
-        return states.squeezed_vacuum(xi, dim or max(24, fock.squeeze_dim(xi)))
+        return states.cat_state(params, _check_dim(fock.amplitude_dim(alpha_sch, dim), field))
     xi = _as_complex(spec["xi"], "xi")
+    if kind == "squeezed_vacuum":
+        return states.squeezed_vacuum(xi, _check_dim(dim or max(24, fock.squeeze_dim(xi)), field))
     alpha = _as_complex(spec["alpha"], "alpha")
     default = max(fock.default_dim(alpha), fock.squeeze_dim(xi))
-    return states.squeezed_coherent(alpha, xi, dim or default)
+    return states.squeezed_coherent(alpha, xi, _check_dim(dim or default, field))
 
 
 def _load_config(path: Path | None) -> object:

@@ -182,8 +182,14 @@ def amplitude_dim(alpha: complex, dim: int | None = None) -> int:
 
 
 def squeeze_dim(xi: complex) -> int:
-    """Smallest truncation squeeze() accepts for S(xi): ceil(20(1+|xi|))."""
-    return math.ceil(20.0 * (1.0 + abs(xi)))
+    """Smallest truncation squeeze() accepts for S(xi): ceil(20(1+|xi|)).
+
+    A squeeze whose truncation overflows a float is refused with a ValueError.
+    """
+    try:
+        return math.ceil(20.0 * (1.0 + abs(xi)))
+    except OverflowError:
+        raise ValueError(f"squeeze {xi} has no finite truncation") from None
 
 
 def displacement(alpha: complex, dim: int) -> np.ndarray:

@@ -17,14 +17,24 @@ population above K is negligible against the measured intensity.
 
 Steady states come from one of two kernels: the banded LU for small
 single-mode models, the operator-form GMRES for everything else.
+
+What does not change between cavity solves is built once: each
+truncation's operators (a, a+, n, a+a+aa and their two-mode counterparts,
+shared read-only), and for each sparsity pattern of A and c the triplet
+positions and band scatter of the superoperator.  steady_state keeps the
+states of the last few models it solved, keyed on their exact content and
+the requested method: a model equal to one of them (a tuner's final point,
+then the g2_tau curve drawn at it) is not solved again; any other model,
+even one ulp away, is.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,14 +71,37 @@ class CavityModel:
         return self.hamiltonian.shape[0]
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=8)
+def _single_ops(dim: int) -> tuple[np.ndarray, ...]:
+    # a, a+, n and a+a+aa of one truncation, shared read-only by every model.
+    a = annihilation(dim)
+    ad = a.conj().T
+    return _frozen(a, ad, ad @ a, ad @ ad @ a @ a)
+
+
 def build_single_kerr(U: float, F: complex, Delta: float, dim: int) -> CavityModel:
     """Single driven Kerr cavity: H = Delta n + U a+a+aa + F a+ + F* a, decay a."""
     if dim < 8:
         raise InvalidDimensionError(f"single-cavity model needs dim >= 8, got {dim}")
-    a = annihilation(dim)
-    ad = a.conj().T
-    h = Delta * (ad @ a) + U * (ad @ ad @ a @ a) + F * ad + np.conjugate(F) * a
+    a, ad, num, kerr = _single_ops(dim)
+    h = Delta * num + U * kerr + F * ad + np.conjugate(F) * a
     return CavityModel(hamiltonian=h, collapse_ops=(a,), monitored=a, dims=(dim,))
+
+
+@functools.lru_cache(maxsize=8)
+def _coupled_ops(dim_a: int, dim_b: int) -> tuple[np.ndarray, ...]:
+    # a, b, a+, the total number, b's Kerr term and the hopping of one pair
+    # of truncations, shared read-only by every model.
+    a = np.kron(annihilation(dim_a), np.eye(dim_b, dtype=complex))
+    b = np.kron(np.eye(dim_a, dtype=complex), annihilation(dim_b))
+    ad, bd = a.conj().T, b.conj().T
+    return _frozen(a, b, ad, ad @ a + bd @ b, bd @ bd @ b @ b, ad @ b + bd @ a)
 
 
 def build_coupled_cavities(
@@ -79,20 +112,8 @@ def build_coupled_cavities(
     dim_a, dim_b = dims
     if dim_a < 6 or dim_b < 6:
         raise InvalidDimensionError(f"coupled model needs dims >= 6 each, got {dims}")
-    a1 = annihilation(dim_a)
-    b1 = annihilation(dim_b)
-    ia = np.eye(dim_a, dtype=complex)
-    ib = np.eye(dim_b, dtype=complex)
-    a = np.kron(a1, ib)
-    b = np.kron(ia, b1)
-    ad, bd = a.conj().T, b.conj().T
-    h = (
-        Delta * (ad @ a + bd @ b)
-        + U * (bd @ bd @ b @ b)
-        + J * (ad @ b + bd @ a)
-        + F * ad
-        + np.conjugate(F) * a
-    )
+    a, b, ad, num, kerr, hop = _coupled_ops(dim_a, dim_b)
+    h = Delta * num + U * kerr + J * hop + F * ad + np.conjugate(F) * a
     return CavityModel(hamiltonian=h, collapse_ops=(a, b), monitored=a, dims=(dim_a, dim_b))
 
 
@@ -104,43 +125,77 @@ def _drift(model: CavityModel) -> np.ndarray:
     return a
 
 
-def _triplets(
-    drift: np.ndarray, collapse_ops: Sequence[np.ndarray], trace_bump: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # (row, col, value) triplets of A kron 1 + 1 kron conj(A) + sum c kron
-    # conj(c) on row-major vec(rho), plus trace_bump * |e_0><trace| if it is
-    # nonzero.  Each term's triplets come from its factors' nonzeros, with no
-    # kron or add chain.  The caller's scatter sums duplicates in no fixed
-    # order, which is exact here: in this module's models at most two terms
-    # meet at an entry (the diagonals of the two drift terms, or a jump term
-    # and a bump).
-    n = drift.shape[0]
+class _Pattern(NamedTuple):
+    """Where the triplets of one sparsity pattern sit; see _pattern."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    drift_at: np.ndarray  # flat positions of the drift's nonzeros
+    jumps_at: tuple[np.ndarray, ...]  # flat positions of each collapse operator's nonzeros
+    lower: int  # band limits of the matrix the triplets assemble
+    upper: int
+    scatter: np.ndarray  # (re, im) slots of each triplet in LAPACK band storage
+
+
+@functools.lru_cache(maxsize=16)
+def _pattern(n: int, drift_nz: bytes, jumps_nz: tuple[bytes, ...], bump: bool) -> _Pattern:
+    # (row, col) of each triplet of A kron 1 + 1 kron conj(A) + sum c kron
+    # conj(c) on row-major vec(rho), plus |e_0><trace| if bump, for the
+    # nonzero masks (bytes of a bool n x n array) of A and of each c.  Each
+    # term's triplets come from its factors' nonzeros, with no kron or add
+    # chain.
     k = np.arange(n)
-    i, j = np.nonzero(drift)
-    a = drift[i, j]
+    i, j = np.nonzero(np.frombuffer(drift_nz, dtype=bool).reshape(n, n))
     # A kron 1 puts A_ij at (i n + k, j n + k); 1 kron conj(A) puts
     # conj(A_ij) at (k n + i, k n + j).
     rows = [(i[:, None] * n + k).ravel(), (k[:, None] * n + i).ravel()]
     cols = [(j[:, None] * n + k).ravel(), (k[:, None] * n + j).ravel()]
-    vals = [np.repeat(a, n), np.tile(a.conj(), n)]
-    for c in collapse_ops:
+    jumps_at = []
+    for nz in jumps_nz:
         # c kron conj(c) puts c_pq conj(c_rs) at (p n + r, q n + s).
-        p, q = np.nonzero(c)
-        v = c[p, q]
+        p, q = np.nonzero(np.frombuffer(nz, dtype=bool).reshape(n, n))
         rows.append((p[:, None] * n + p).ravel())
         cols.append((q[:, None] * n + q).ravel())
-        vals.append((v[:, None] * v.conj()).ravel())
-    if trace_bump:
+        jumps_at.append(p * n + q)
+    if bump:
         rows.append(np.zeros(n, dtype=k.dtype))
         cols.append(k * (n + 1))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    lower, upper = int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0))
+    # band[upper + row - col, col] = L[row, col], scattered as (re, im) pairs.
+    at = 2 * ((upper + rows - cols) * n * n + cols)
+    scatter = np.stack([at, at + 1], axis=1).ravel()
+    pattern = _Pattern(rows, cols, i * n + j, tuple(jumps_at), lower, upper, scatter)
+    _frozen(rows, cols, pattern.drift_at, *jumps_at, scatter)
+    return pattern
+
+
+def _triplets(
+    drift: np.ndarray, collapse_ops: Sequence[np.ndarray], trace_bump: float = 0.0
+) -> tuple[_Pattern, np.ndarray]:
+    # The pattern of A kron 1 + 1 kron conj(A) + sum c kron conj(c), plus
+    # trace_bump * |e_0><trace| if it is nonzero, and the value of each of
+    # its triplets, read from A and c at the pattern's positions.  The
+    # caller's scatter sums duplicates in no fixed order, which is exact
+    # here: in this module's models at most two terms meet at an entry (the
+    # diagonals of the two drift terms, or a jump term and a bump).
+    n = drift.shape[0]
+    pattern = _pattern(n, (drift != 0).tobytes(), tuple((c != 0).tobytes() for c in collapse_ops),
+                       bool(trace_bump))
+    a = np.take(drift, pattern.drift_at)
+    vals = [np.repeat(a, n), np.tile(a.conj(), n)]
+    for c, at in zip(collapse_ops, pattern.jumps_at):
+        v = np.take(c, at)
+        vals.append((v[:, None] * v.conj()).ravel())
+    if trace_bump:
         vals.append(np.full(n, trace_bump, dtype=complex))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    return pattern, np.concatenate(vals)
 
 
 def _superoperator(drift: np.ndarray, collapse_ops: Sequence[np.ndarray]) -> sp.csc_matrix:
-    rows, cols, vals = _triplets(drift, collapse_ops)
+    pattern, vals = _triplets(drift, collapse_ops)
     nn = drift.shape[0] ** 2
-    return sp.csc_matrix((vals, (rows, cols)), shape=(nn, nn))
+    return sp.csc_matrix((vals, (pattern.rows, pattern.cols)), shape=(nn, nn))
 
 
 def liouvillian(model: CavityModel) -> sp.csc_matrix:
@@ -200,16 +255,15 @@ def _kernel_direct(model: CavityModel, drift: np.ndarray, weight: float) -> np.n
     rhs = np.zeros(nn, dtype=complex)
     rhs[0] = weight
     single = len(model.dims) == 1
-    rows, cols, vals = _triplets(drift, model.collapse_ops, 0.0 if single else weight)
+    pattern, vals = _triplets(drift, model.collapse_ops, 0.0 if single else weight)
     if not single:
         try:
-            return splu(sp.csc_matrix((vals, (rows, cols)), shape=(nn, nn))).solve(rhs)
+            lio = sp.csc_matrix((vals, (pattern.rows, pattern.cols)), shape=(nn, nn))
+            return splu(lio).solve(rhs)
         except RuntimeError as exc:
             raise SteadyStateError(f"Liouvillian solve failed: {exc}") from exc
-    lower, upper = np.max(rows - cols), np.max(cols - rows)
-    # band[upper + row - col, col] = L[row, col], scattered as (re, im) pairs.
-    at = 2 * ((upper + rows - cols) * nn + cols)
-    band = np.bincount(np.stack([at, at + 1], axis=1).ravel(), vals.view(float),
+    lower, upper = pattern.lower, pattern.upper
+    band = np.bincount(pattern.scatter, vals.view(float),
                        2 * (lower + upper + 1) * nn).view(complex).reshape(-1, nn)
     band[upper, 0] += weight
     try:
@@ -281,13 +335,41 @@ def steady_state(model: CavityModel, *, method: str = "auto") -> DensityMatrix:
     superoperator.  Either method can be forced for cross-checks; "direct"
     on a large system is the caller's own memory risk.  Every kernel's state
     must pass the same gate, max |L rho| <= 1e-10.
+
+    The states of the last four models solved are kept, keyed on the
+    requested method, dims and the exact bytes of H and of each collapse
+    operator: a model equal to one of them gets the same DensityMatrix back
+    without a solve.  A failed solve raises and is not kept.
     """
+    if method not in ("auto", "direct", "operator"):
+        raise ValueError(f"unknown steady-state method {method!r}")
+    return _solve(_Exact(model, method))
+
+
+class _Exact:
+    """A model and a requested method, equal to another exactly when the
+    method, the dims and the bytes of H and of each collapse operator are."""
+
+    def __init__(self, model: CavityModel, method: str):
+        self.model, self.method = model, method
+        self.key = (method, tuple(model.dims), model.hamiltonian.tobytes(),
+                    *((c.dtype.str, c.shape, c.tobytes()) for c in model.collapse_ops))
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key
+
+
+@functools.lru_cache(maxsize=4)
+def _solve(exact: _Exact) -> DensityMatrix:
+    model, method = exact.model, exact.method
+    exact.model = None  # a kept entry holds the content bytes, not the model
     n = model.hilbert_dim
     if method == "auto":
         small_single = len(model.dims) == 1 and n * n <= _FULL_SPACE_LIMIT
         method = "direct" if small_single else "operator"
-    if method not in ("direct", "operator"):
-        raise ValueError(f"unknown steady-state method {method!r}")
     if not model.collapse_ops:
         raise SteadyStateError("model has no decay channel; steady state not unique")
     drift = _drift(model)  # built once, shared by the weight, the kernel and the gate

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import antibunch
-from antibunch import cli, figures, fock
+from antibunch import cli, figures, fock, states
 from antibunch.errors import ConfigError, TruncationError
 
 
@@ -199,19 +199,48 @@ class TestRefusedValues:
          ({"kind": "coherent", "alpha": 1e200}, []),
          ({"kind": "coherent", "alpha": 1e200, "dim": 8}, []),
          ({"kind": "squeezed_coherent", "alpha": 1e200, "xi": 0.1}, []),
+         ({"kind": "squeezed_vacuum", "xi": 1e308}, []),
+         ({"kind": "squeezed_coherent", "alpha": 0.1, "xi": [0.0, 1e308]}, []),
          ({"kind": "kerr_coherent", "alpha": 0.3, "chi_t": 10**400}, [])],
         ids=["dim-negative", "dim-fractional", "dim-zero", "dim-above-limit", "dim-flag-zero", "fock-n-negative",
              "fock-n-fractional", "cat-parity-2", "cat-parity-fractional", "c2-above-1",
              "chi_t-nan", "alpha-infinity", "alpha-minus-infinity", "coherent-truncated",
              "dim-flag-truncates", "phase_modified-truncated", "kerr_coherent-truncated",
              "cat-truncated", "coherent-huge", "coherent-huge-dim", "squeezed_coherent-huge",
-             "chi_t-integer-beyond-float"],
+             "squeezed_vacuum-xi-huge", "squeezed_coherent-xi-huge", "chi_t-integer-beyond-float"],
     )
     def test_g2_state_value(self, tmp_path, capsys, state, extra):
         cfg = write_config(tmp_path, {"state": state})
         assert cli.main(["g2", "--config", str(cfg), *extra]) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"state_a": {"kind": "coherent", "alpha": 12},
+          "state_b": {"kind": "coherent", "alpha": 12}, "beamsplitter": {"R": 0.5}},
+         {"state": {"kind": "fock", "n": 500}},
+         {"state": {"kind": "squeezed_vacuum", "xi": 10}}],
+        ids=["coherent-pair-alpha-12", "fock-n-500", "squeezed_vacuum-xi-10"],
+    )
+    def test_default_truncation_above_limit(self, tmp_path, capsys, monkeypatch, config):
+        # A spec with no dim picks its own truncation (1352, 501 and 220
+        # here); it is bounded like a given one, before any state is built.
+        def unbuilt(*args):
+            raise AssertionError("a state was built")
+
+        for module, name in ((states, "coherent"), (states, "squeezed_vacuum"), (fock, "basis")):
+            monkeypatch.setattr(module, name, unbuilt)
+        cfg = write_config(tmp_path, config)
+        assert cli.main(["g2", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: truncation of the ") and err.count("\n") == 1
+
+    def test_default_truncation_at_limit_runs(self, tmp_path, capsys):
+        # alpha = 4 picks dim 8 (1 + 4)^2 = 200, the limit itself.
+        cfg = write_config(tmp_path, {"state": {"kind": "coherent", "alpha": 4}})
+        assert cli.main(["g2", "--config", str(cfg)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["p_n"]) == cli.MAX_DIM
 
     def test_huge_cat_amplitude_in_a_pair(self, tmp_path, capsys):
         # (1 + |alpha|)^2 overflows a float: refused, not an OverflowError

@@ -81,6 +81,29 @@ class TestBuilders:
         assert build_single_kerr(0.1, 0.1, 0.0, 9).hilbert_dim == 9
         assert build_coupled_cavities(0.1, 1.0, 0.1, 0.0, (6, 7)).hilbert_dim == 42
 
+    @pytest.mark.parametrize("U, J, F, Delta", [(0.3, 1.7, 0.2 + 0.1j, -0.4), (0.0, 0.0, 0.0, 0.0)])
+    def test_hamiltonians_equal_the_inline_expressions(self, U, J, F, Delta):
+        # The builders form H from products cached per truncation, in the
+        # order of these expressions, so H is equal bit for bit.
+        a = annihilation(10)
+        ad = a.conj().T
+        inline = Delta * (ad @ a) + U * (ad @ ad @ a @ a) + F * ad + np.conjugate(F) * a
+        assert np.array_equal(build_single_kerr(U, F, Delta, 10).hamiltonian, inline)
+        a = np.kron(annihilation(6), np.eye(7, dtype=complex))
+        b = np.kron(np.eye(6, dtype=complex), annihilation(7))
+        ad, bd = a.conj().T, b.conj().T
+        inline = (Delta * (ad @ a + bd @ b) + U * (bd @ bd @ b @ b) + J * (ad @ b + bd @ a)
+                  + F * ad + np.conjugate(F) * a)
+        assert np.array_equal(build_coupled_cavities(U, J, F, Delta, (6, 7)).hamiltonian, inline)
+
+    def test_operator_arrays_are_read_only(self):
+        # Every model of one truncation shares them.
+        for model in (build_single_kerr(0.1, 0.1, 0.0, 9),
+                      build_coupled_cavities(0.1, 1.0, 0.1, 0.0, (6, 7))):
+            for op in (model.monitored, *model.collapse_ops):
+                with pytest.raises(ValueError, match="read-only"):
+                    op[0, 1] = 0.0
+
 
 def dense_superoperator(drift, collapse_ops):
     # The reference: A kron 1 + 1 kron conj(A) + sum c kron conj(c), dense.
@@ -291,8 +314,8 @@ class TestSteadyState:
         weight = lindblad._bump_weight(model, drift)
         rhs = np.zeros(dim * dim, dtype=complex)
         rhs[0] = weight
-        rows, cols, vals = lindblad._triplets(drift, model.collapse_ops, trace_bump=weight)
-        lio = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(dim**2, dim**2))
+        pattern, vals = lindblad._triplets(drift, model.collapse_ops, trace_bump=weight)
+        lio = scipy.sparse.csc_matrix((vals, (pattern.rows, pattern.cols)), shape=(dim**2, dim**2))
         ref = splu(lio).solve(rhs).reshape(dim, dim)
         ref = 0.5 * (ref + ref.conj().T)
         ref = ref / np.trace(ref).real
@@ -304,17 +327,20 @@ class TestSteadyState:
             raise scipy.linalg.LinAlgError("singular matrix")
 
         monkeypatch.setattr(lindblad, "solve_banded", singular)
+        lindblad._solve.cache_clear()  # an earlier solve of this model would skip the kernel
         with pytest.raises(SteadyStateError, match="banded Liouvillian solve failed: singular"):
             steady_state(build_single_kerr(0.3, 0.6, 0.1, 10))
 
     def test_nan_drive_fails_the_gate(self):
         # LAPACK's band solve returns NaN with no zero pivot; the gate refuses it.
+        lindblad._solve.cache_clear()
         with np.errstate(invalid="ignore"), pytest.raises(SteadyStateError, match="residual nan"):
             steady_state(build_single_kerr(0.1, float("nan"), 0.0, 12))
 
     def test_operator_kernel_failure_names_kernel_info_and_residual(self, monkeypatch):
         monkeypatch.setattr(lindblad, "gmres", lambda op, b, **kw: (np.zeros_like(b), 7))
         model = build_coupled_cavities(0.01, 6.2, 0.04, 0.2, (6, 6))
+        lindblad._solve.cache_clear()
         with pytest.raises(SteadyStateError, match=r"operator kernel: GMRES info 7 .*residual"):
             steady_state(model)
 
@@ -327,6 +353,81 @@ class TestSteadyState:
         g2_auto = static_g2(model, rho_ss=steady_state(model).mat)
         # method="direct" gives 1.18446547895633 here, in 8.5 s
         assert g2_auto == pytest.approx(1.18446547895633, rel=1e-8)
+
+
+class TestSteadyStateMemo:
+    @pytest.fixture
+    def kernel_runs(self, monkeypatch):
+        # Names of the kernels run, in order, from an empty memo.
+        runs = []
+        for name in ("_kernel_direct", "_kernel_operator"):
+            def counted(*args, _kernel=getattr(lindblad, name), _name=name):
+                runs.append(_name)
+                return _kernel(*args)
+
+            monkeypatch.setattr(lindblad, name, counted)
+        lindblad._solve.cache_clear()
+        return runs
+
+    def test_equal_model_is_solved_once(self, kernel_runs):
+        first = steady_state(build_single_kerr(0.3, 0.6, 0.1, 10))
+        again = steady_state(build_single_kerr(0.3, 0.6, 0.1, 10))  # a new, equal model
+        assert again is first
+        assert kernel_runs == ["_kernel_direct"]
+
+    def test_delta_one_ulp_away_is_solved_again(self, kernel_runs):
+        first = steady_state(build_single_kerr(0.3, 0.6, 0.1, 10))
+        moved = steady_state(build_single_kerr(0.3, 0.6, np.nextafter(0.1, 1.0), 10))
+        assert moved is not first
+        assert kernel_runs == ["_kernel_direct"] * 2
+
+    def test_auto_and_a_forced_method_are_separate_entries(self, kernel_runs):
+        model = build_coupled_cavities(U_OPT, 6.2, 0.04, 0.2852, (6, 6))
+        auto = steady_state(model)
+        forced = steady_state(model, method="operator")
+        assert forced is not auto
+        assert steady_state(model) is auto and steady_state(model, method="operator") is forced
+        assert kernel_runs == ["_kernel_operator"] * 2
+
+    def test_failed_solve_is_never_stored(self, kernel_runs):
+        model = build_single_kerr(0.1, float("nan"), 0.0, 12)
+        for _ in range(2):
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(SteadyStateError, match="residual nan"):
+                    steady_state(model)
+        assert kernel_runs == ["_kernel_direct"] * 2
+        assert lindblad._solve.cache_info().currsize == 0
+
+    def test_memo_holds_at_most_its_bound(self, kernel_runs):
+        bound = lindblad._solve.cache_info().maxsize
+        deltas = np.linspace(-0.5, 0.5, bound + 3)
+        models = [build_single_kerr(0.3, 0.6, delta, 8) for delta in deltas]
+        for model in models:
+            steady_state(model)
+            assert lindblad._solve.cache_info().currsize <= bound
+        steady_state(models[-bound])  # the oldest entry kept, now the most recent
+        steady_state(models[-1])
+        assert len(kernel_runs) == len(models)
+        steady_state(models[0])  # dropped, so solved again; it drops models[-bound + 1]
+        steady_state(models[-bound])
+        assert len(kernel_runs) == len(models) + 1
+
+    def test_solves_in_sequence_equal_solves_alone(self):
+        # F = 0 leaves the drive's off-diagonals out of the drift, so the
+        # triplet pattern cache must tell it from F != 0; U = 0 keeps the
+        # pattern of U != 0.
+        models = [build_single_kerr(0.3, 0.0, 0.1, 10), build_single_kerr(0.3, 0.6, 0.1, 10),
+                  build_single_kerr(0.0, 0.6, 0.1, 10)]
+        alone = []
+        for model in models:
+            lindblad._pattern.cache_clear()
+            lindblad._solve.cache_clear()
+            alone.append(steady_state(model).mat)
+        lindblad._pattern.cache_clear()
+        lindblad._solve.cache_clear()
+        for model, rho in zip(models, alone):
+            assert np.array_equal(steady_state(model).mat, rho)
+        assert lindblad._pattern.cache_info().currsize == 2
 
 
 class TestStaticG2:

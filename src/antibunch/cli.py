@@ -46,8 +46,16 @@ MAX_DIM = 200
 def _check_dim(dim, field: str) -> int:
     """Refuse a truncation that is not an integer in [2, MAX_DIM]; return it."""
     if type(dim) is not int or not 2 <= dim <= MAX_DIM:
-        raise ConfigError(f"{field} must be an integer in [2, {MAX_DIM}], got {dim!r}")
+        raise ConfigError(f"{field} must be an integer in [2, {MAX_DIM}], got {_brief(dim)}")
     return dim
+
+
+def _brief(value) -> str:
+    """repr(value), but an integer of over 12 digits as its first three and exponent: 2.00e+301."""
+    digits = str(abs(value)) if type(value) is int else ""
+    if len(digits) <= 12:
+        return repr(value)
+    return f"{'-' * (value < 0)}{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
 
 
 def _as_complex(value, field: str) -> complex:
@@ -61,7 +69,7 @@ def _as_complex(value, field: str) -> complex:
 def _as_float(value, field: str) -> float:
     """A JSON number that fits a float; a string or boolean is refused, never coerced."""
     if type(value) not in (int, float) or abs(value) > sys.float_info.max:
-        raise ConfigError(f"{field!r} must be a finite number, got {value!r}")
+        raise ConfigError(f"{field!r} must be a finite number, got {_brief(value)}")
     return float(value)
 
 

@@ -20,6 +20,7 @@ all inputs and outputs; radians never appear in emitted data.
 from __future__ import annotations
 
 import csv
+import gc
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -164,7 +165,17 @@ def _map(name: str, axes: tuple[Axis, Axis], objective: str, fixed: dict,
     res = optimize.sweep(SweepSpec(axes=axes, objective=objective, fixed=fixed))
     x, y = np.meshgrid(*res.axis_values, indexing="ij")
     columns = (x, y, res.g2, res.n_mean, res.defined.astype(int))
-    rows = list(zip(*(c.ravel().tolist() for c in columns)))
+    # The rows are one new tuple per cell (10,201 at the default grid).  They
+    # hold only numbers, so they form no cycle for the collector to find, but
+    # with it running they set off a young-generation collection every 700
+    # and, soon after numpy and scipy are imported, a full one.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        rows = list(zip(*(c.ravel().tolist() for c in columns)))
+    finally:
+        if collecting:
+            gc.enable()
     extra = {"argmin": {ax.name: v for ax, v in zip(axes, res.argmin)},
              "min_g2": res.min_g2, "n_at_min": res.n_at_min}
     return FigureResult(name, (axes[0].name, axes[1].name, "g2", "n_mean", "defined"),

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import VacuumOutputError
 
@@ -119,6 +118,103 @@ def sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(axis_values=values, g2=g2, n_mean=n_mean, defined=defined)
 
 
+class _Budget(Exception):
+    """The simplex's evaluation budget is spent."""
+
+
+def _nelder_mead(fn, x0, bounds, fatol, maxfev, maxiter=4000):
+    """Bounded Nelder–Mead (Nelder & Mead, Comput. J. 7, 308 (1965)).
+
+    Takes exactly the steps of scipy 1.17's ``minimize(method="Nelder-Mead")``
+    with its default simplex and coefficients: the same numpy operations in
+    the same order, vertices clipped to the bounds, and the budget counted
+    alike, so a budget spent inside the first simplex or a shrink leaves the
+    values not yet evaluated as they were.  Returns (x, f, reason), where
+    reason says why the search stopped early and is None on convergence.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    n = len(x0)
+    pairs = [(None, None)] * n if bounds is None else bounds  # clipping to ±inf changes nothing
+    lo = np.array([-np.inf if b is None else float(b) for b, _ in pairs])
+    hi = np.array([np.inf if b is None else float(b) for _, b in pairs])
+    if np.any(hi < lo):
+        raise ValueError("a lower bound is greater than its upper bound")
+    lo, hi = np.broadcast_to(lo, x0.shape), np.broadcast_to(hi, x0.shape)  # one pair serves all
+    if np.any(lo > x0) or np.any(x0 > hi):
+        warnings.warn("Initial guess is not within the specified bounds", stacklevel=2)
+
+    def clip(x):
+        return np.clip(x, lo, hi)
+
+    x0 = clip(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    # A start just under an upper bound puts vertices above it; they are
+    # reflected into the interior, so that clipping does not collapse the simplex.
+    sim = clip(np.where(sim > hi, 2 * hi - sim, sim))
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _Budget
+        calls += 1
+        return fn(np.copy(x))
+
+    def ordered(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _Budget:
+        pass
+    sim, fsim = ordered(*ordered(sim, fsim))  # twice, as scipy: argsort may move ties
+    iterations = 1
+    while calls < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= XATOL
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = clip((1 + rho) * xbar - rho * sim[-1])
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = clip((1 + rho * chi) * xbar - rho * chi * sim[-1])
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = clip((1 + psi * rho) * xbar - psi * rho * sim[-1])
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = clip((1 - psi) * xbar + psi * sim[-1])
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = clip(sim[0] + sigma * (sim[j] - sim[0]))
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _Budget:
+            pass
+        sim, fsim = ordered(sim, fsim)
+    reason = None
+    if calls >= maxfev:
+        reason = "Maximum number of function evaluations has been exceeded."
+    elif iterations >= maxiter:
+        reason = "Maximum number of iterations has been exceeded."
+    return sim[0], np.min(fsim), reason
+
+
 def refine_min(
     objective: Callable[[Sequence[float]], float],
     start: Sequence[float],
@@ -132,6 +228,7 @@ def refine_min(
     The objective takes a parameter vector and returns scalar g2; undefined
     cells may raise VacuumOutputError and are treated as +inf.  Callers with
     expensive objectives can trade precision for budget via fatol/maxfev.
+    A start outside the bounds is clipped into them, with a warning.
     """
     def guarded(x: np.ndarray) -> float:
         try:
@@ -141,17 +238,11 @@ def refine_min(
 
     x0 = np.asarray(start, dtype=float)
     f0 = guarded(x0)
-    res = minimize(
-        guarded,
-        x0,
-        method="Nelder-Mead",
-        bounds=bounds,
-        options={"xatol": XATOL, "fatol": fatol, "maxiter": 4000, "maxfev": maxfev},
-    )
-    if not res.success:
-        warnings.warn(f"refine_min stopped early: {res.message}; returning best found")
-    if res.fun <= f0:
-        return tuple(float(v) for v in res.x), float(res.fun)
+    x, fun, reason = _nelder_mead(guarded, x0, bounds, fatol, maxfev)
+    if reason:
+        warnings.warn(f"refine_min stopped early: {reason}; returning best found")
+    if fun <= f0:
+        return tuple(float(v) for v in x), float(fun)
     return tuple(float(v) for v in x0), f0
 
 

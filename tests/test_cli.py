@@ -201,19 +201,25 @@ class TestRefusedValues:
          ({"kind": "squeezed_coherent", "alpha": 1e200, "xi": 0.1}, []),
          ({"kind": "squeezed_vacuum", "xi": 1e308}, []),
          ({"kind": "squeezed_coherent", "alpha": 0.1, "xi": [0.0, 1e308]}, []),
-         ({"kind": "kerr_coherent", "alpha": 0.3, "chi_t": 10**400}, [])],
+         ({"kind": "kerr_coherent", "alpha": 0.3, "chi_t": 10**400}, []),
+         ({"kind": "squeezed_coherent", "alpha": 1, "xi": 1e300}, []),
+         ({"kind": "coherent", "alpha": 1e100}, []),
+         ({"kind": "coherent", "alpha": 0.3, "dim": 10**400}, [])],
         ids=["dim-negative", "dim-fractional", "dim-zero", "dim-above-limit", "dim-flag-zero", "fock-n-negative",
              "fock-n-fractional", "cat-parity-2", "cat-parity-fractional", "c2-above-1",
              "chi_t-nan", "alpha-infinity", "alpha-minus-infinity", "coherent-truncated",
              "dim-flag-truncates", "phase_modified-truncated", "kerr_coherent-truncated",
              "cat-truncated", "coherent-huge", "coherent-huge-dim", "squeezed_coherent-huge",
-             "squeezed_vacuum-xi-huge", "squeezed_coherent-xi-huge", "chi_t-integer-beyond-float"],
+             "squeezed_vacuum-xi-huge", "squeezed_coherent-xi-huge", "chi_t-integer-beyond-float",
+             "squeezed_coherent-picks-302-digit-dim", "coherent-picks-201-digit-dim",
+             "dim-401-digits"],
     )
     def test_g2_state_value(self, tmp_path, capsys, state, extra):
         cfg = write_config(tmp_path, {"state": state})
         assert cli.main(["g2", "--config", str(cfg), *extra]) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+        assert len(err) < 200  # an oversized truncation is shown in e-notation
 
     @pytest.mark.parametrize(
         "config",

@@ -1,6 +1,7 @@
 """Figure dataset builders and their CSV round trip."""
 
 import csv
+import gc
 import itertools
 import warnings
 
@@ -124,6 +125,17 @@ class TestMapMeta:
         best = min((r for r in res.rows if r[4]), key=lambda r: r[2])
         assert res.meta["argmin"] == dict(zip(res.columns[:2], best[:2]))
         assert (res.meta["min_g2"], res.meta["n_at_min"]) == best[2:4]
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_rows_leave_the_collector_as_they_found_it(self, collecting):
+        # A map pauses the garbage collector while it builds its rows.
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            assert len(fig2(grid=5).rows) == 25
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 def per_value_curve(objective, scan_name, values, inner, fixed):

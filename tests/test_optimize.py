@@ -1,8 +1,18 @@
 """Sweep/refinement machinery plus sensitivity-trend properties."""
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
+import antibunch
 from antibunch import optimize
 from antibunch.errors import VacuumOutputError
 from antibunch.optimize import (
@@ -175,6 +185,150 @@ class TestRefineMin:
     def test_budget_exhaustion_warns(self):
         with pytest.warns(UserWarning, match="refine_min stopped early"):
             refine_min(lambda v: (v[0] - 7.0) ** 2, [0.0], maxfev=3)
+
+
+def scipy_refine_min(objective, start, bounds=None, *, fatol=1e-10, maxfev=8000):
+    """refine_min as it was written on scipy.optimize.minimize: the oracle."""
+    def guarded(x):
+        try:
+            return float(objective(x))
+        except VacuumOutputError:
+            return np.inf
+
+    x0 = np.asarray(start, dtype=float)
+    f0 = guarded(x0)
+    res = minimize(guarded, x0, method="Nelder-Mead", bounds=bounds,
+                   options={"xatol": XATOL, "fatol": fatol, "maxiter": 4000, "maxfev": maxfev})
+    if not res.success:
+        warnings.warn(f"refine_min stopped early: {res.message}; returning best found")
+    if res.fun <= f0:
+        return tuple(float(v) for v in res.x), float(res.fun)
+    return tuple(float(v) for v in x0), f0
+
+
+def run_recorded(refine, objective, *args, **kwargs):
+    """(x, f, every point evaluated, warnings), floats as exact hex strings.
+
+    A warning is its text and whether it is a UserWarning: scipy's
+    out-of-bounds warning is an OptimizeWarning, a UserWarning subclass.
+    """
+    points = []
+
+    def recorded(x):
+        points.append(tuple(map(float.hex, x)))
+        return objective(x)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        x, f = refine(recorded, *args, **kwargs)
+    warned = [(issubclass(w.category, UserWarning), str(w.message)) for w in caught]
+    return tuple(map(float.hex, x)), float.hex(f), points, warned
+
+
+def landscape(centers, weights, step, dark, nan_above):
+    """A bowl with a ripple; optionally terraced (ties), dark (inf) or NaN in places."""
+    def fn(x):
+        if x[0] < dark:
+            raise VacuumOutputError("dark")
+        if x[-1] > nan_above:
+            return np.nan
+        q = float(np.dot(weights, (x - centers) ** 2)) + 0.1 * float(np.prod(np.sin(3 * x)))
+        return q if step == 0 else step * round(q / step)
+
+    return fn
+
+
+@st.composite
+def refine_case(draw):
+    n = draw(st.integers(1, 4))
+    bounded = draw(st.booleans())
+    bounds, start = [], []
+    for _ in range(n):
+        if not bounded:
+            start.append(draw(st.sampled_from([0.0, 0.3, -1.7]) | st.floats(-3, 3)))
+            continue
+        lo = draw(st.floats(-3, 0))
+        hi = lo + draw(st.sampled_from([0.0, 1e-4]) | st.floats(0.5, 4))
+        # 0, on a bound, outside, just under the upper bound (whose default
+        # simplex vertex lands above it and is reflected), or inside.
+        start.append(draw(st.sampled_from([0.0, lo, hi, lo - 0.5, hi + 0.5, hi - 1e-3 * abs(hi)])
+                          | st.floats(lo, hi)))
+        bounds.append(draw(st.sampled_from([(lo, hi), (None, hi), (lo, None)])))
+    objective = landscape(
+        centers=np.array(draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n))),
+        weights=np.array(draw(st.lists(st.floats(0.1, 10), min_size=n, max_size=n))),
+        step=draw(st.sampled_from([0.0, 0.0, 1e-3, 0.5])),
+        dark=draw(st.sampled_from([-np.inf, -np.inf, 0.0, -1.0])),
+        nan_above=draw(st.sampled_from([np.inf, np.inf, 1.0])),
+    )
+    kwargs = {"fatol": draw(st.sampled_from([0.0, 1e-14, 1e-10, 1e-4])),
+              "maxfev": draw(st.integers(0, n) | st.integers(0, 300) | st.just(8000))}
+    return objective, start, bounds if bounded else None, kwargs
+
+
+class TestRefineMinTakesScipysSteps:
+    """refine_min's in-house Nelder–Mead against scipy's, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=refine_case())
+    def test_same_points_result_and_warnings(self, case):
+        objective, start, bounds, kwargs = case
+        got = run_recorded(refine_min, objective, start, bounds, **kwargs)
+        assert got == run_recorded(scipy_refine_min, objective, start, bounds, **kwargs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_budget_spent_inside_a_shrink(self, n):
+        # Only the start scores 0, so the search keeps shrinking towards it;
+        # for every n, these budgets include one that runs out inside a
+        # shrink just before each of its n evaluations, which leaves a moved
+        # vertex with the value of where it was.
+        start = np.linspace(0.2, 0.8, n)
+
+        def spiky(x):
+            return 0.0 if np.array_equal(x, start) else 1.0 + float(np.sum(np.abs(x)))
+
+        for maxfev in range(3 * (n + 3)):
+            got = run_recorded(refine_min, spiky, start, [(0.0, 1.0)] * n, maxfev=maxfev)
+            assert got == run_recorded(scipy_refine_min, spiky, start, [(0.0, 1.0)] * n,
+                                       maxfev=maxfev)
+
+    def test_iteration_limit(self):
+        # NaN everywhere: every iteration is a contraction and a shrink, the
+        # stopping test never passes, and 4,000 iterations come before the budget.
+        got = run_recorded(refine_min, lambda v: np.nan, [0.5], maxfev=20000)
+        assert got == run_recorded(scipy_refine_min, lambda v: np.nan, [0.5], maxfev=20000)
+        assert got[3] == [(True, "refine_min stopped early: Maximum number of iterations "
+                                 "has been exceeded.; returning best found")]
+
+    @pytest.mark.parametrize("bounds", [[(1.0, 0.0)], [(0.0, 1.0), (0.0, 1.0)]],
+                             ids=["lower-above-upper", "more-bounds-than-coordinates"])
+    def test_bad_bounds_are_refused(self, bounds):
+        for refine in (refine_min, scipy_refine_min):
+            with pytest.raises(ValueError):
+                refine(lambda v: v[0] ** 2, [0.5], bounds=bounds)
+
+    def test_one_bound_pair_serves_every_coordinate(self):
+        got = run_recorded(refine_min, lambda v: float(np.sum((v - 0.3) ** 2)), [0.9, 0.1],
+                           [(0.0, 1.0)])
+        assert got == run_recorded(scipy_refine_min, lambda v: float(np.sum((v - 0.3) ** 2)),
+                                   [0.9, 0.1], [(0.0, 1.0)])
+
+
+def test_scipy_optimize_is_never_imported():
+    # A fresh interpreter: importing the CLI, a refined figure and a
+    # refinement load everything they need, and scipy.optimize is not part of it.
+    script = (
+        "import sys, antibunch.cli\n"
+        "from antibunch import figures, optimize\n"
+        "figures.fig4(count=2, inner_count=5)\n"
+        "optimize.refine_min(lambda v: (v[0] - 0.3) ** 2, [0.25], bounds=[(0.0, 1.0)])\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+    )
+    src = str(Path(antibunch.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestOnBound:

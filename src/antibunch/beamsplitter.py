@@ -14,10 +14,12 @@ block-diagonal over photon-number sectors (Campos, Saleh & Teich, PRA 40,
 1371 (1989)).  In the truncated joint basis sector N holds the states
 |m, N-m> that fit both truncations, and the generator restricted to it is a
 real tridiagonal matrix with off-diagonals sqrt((m+1)(N-m)).  Each block is
-diagonalized once per truncation pair, and mixing applies the small blocks
-to their slices of the joint vector.  Sectors with N >= min(dim) are cut
-short by the truncation and are rotated exactly as truncated; both factors
-stay exactly unitary, so no re-truncation happens after mixing.
+diagonalized once per truncation pair by one call of LAPACK's dstevd (the
+routine scipy's eigh_tridiagonal picks for a full spectrum, without its
+wrapper's cost), and mixing applies the small blocks to their slices of
+the joint vector.  Sectors with N >= min(dim) are cut short by the
+truncation and are rotated exactly as truncated; both factors stay exactly
+unitary, so no re-truncation happens after mixing.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstevd
 
 from .errors import INTENSITY_FLOOR, VacuumOutputError
 from .fock import FockVector, TwoModeState, annihilation, lift_a, lift_b
@@ -72,20 +74,27 @@ class _Sectors:
 @lru_cache(maxsize=64)
 def _sectors(dim_a: int, dim_b: int) -> _Sectors:
     count, width = dim_a + dim_b - 1, min(dim_a, dim_b)
-    index = np.full((count, width), dim_a * dim_b)
+    total = np.arange(count)[:, np.newaxis]
+    m = np.maximum(0, total - dim_b + 1) + np.arange(width)  # m of |m, N-m>, increasing
+    sizes = np.minimum(total[:, 0], dim_a - 1) - m[:, 0] + 1
+    fits = np.arange(width) < sizes[:, np.newaxis]
+    index = np.where(fits, m * dim_b + (total - m), dim_a * dim_b)
+    # On sector N the generator is real antisymmetric tridiagonal with
+    # entries +-sqrt((m+1)(N-m)); conjugating i times it by diag(i^k)
+    # makes it real symmetric with the same off-diagonal magnitudes.
+    off = np.sqrt(np.where(fits[:, 1:], (m[:, :-1] + 1.0) * (total - m[:, :-1]), 0.0))
+    phase = (1j ** np.arange(width))[:, np.newaxis]
     evals = np.zeros((count, width))
     vecs = np.zeros((count, width, width), dtype=complex)
-    for total in range(count):
-        m = np.arange(max(0, total - dim_b + 1), min(total, dim_a - 1) + 1)
-        size = m.size
-        index[total, :size] = m * dim_b + (total - m)
-        # On sector N the generator is real antisymmetric tridiagonal with
-        # entries +-sqrt((m+1)(N-m)); conjugating i times it by diag(i^k)
-        # makes it real symmetric with the same off-diagonal magnitudes.
-        off = np.sqrt((m[:-1] + 1.0) * (total - m[:-1]))
-        w, v = eigh_tridiagonal(np.zeros(size), off)
-        evals[total, :size] = w
-        vecs[total, :size, :size] = (1j ** np.arange(size))[:, np.newaxis] * v
+    for n, size in enumerate(sizes.tolist()):
+        if size == 1:  # already diagonal, and dstevd wants an off-diagonal
+            vecs[n, 0, 0] = 1.0
+            continue
+        w, v, info = dstevd(np.zeros(size), off[n, :size - 1])
+        if info:
+            raise np.linalg.LinAlgError(f"dstevd failed on photon-number sector {n}: info {info}")
+        evals[n, :size] = w
+        vecs[n, :size, :size] = phase[:size] * v
     for arr in (index, evals, vecs):
         arr.setflags(write=False)
     return _Sectors(index, evals, vecs)

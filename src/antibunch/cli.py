@@ -118,7 +118,10 @@ def build_state(spec: dict, dim_override: int | None = None) -> fock.FockVector:
 
     if kind == "fock":
         n = _as_int(spec["n"], "n")
-        return fock.basis(_check_dim(dim or max(n + 1, 4), field), n)
+        dim = _check_dim(dim or max(n + 1, 4), field)
+        if not 0 <= n < dim:
+            raise ConfigError(f"'n' must be a photon number in [0, {dim - 1}], got {_brief(n)}")
+        return fock.basis(dim, n)
     if kind in ("coherent", "phase_modified", "kerr_coherent"):
         alpha = _as_complex(spec["alpha"], "alpha")
         dim = _check_dim(fock.amplitude_dim(alpha, dim), field)
@@ -132,7 +135,10 @@ def build_state(spec: dict, dim_override: int | None = None) -> fock.FockVector:
         return states.vacuum_two_photon(_as_float(spec["c2"], "c2"), dim or 3)
     if kind == "cat":
         alpha_sch = _as_complex(spec["alpha_sch"], "alpha_sch")
-        params = states.CatParams(alpha_sch=alpha_sch, parity=_as_int(spec["parity"], "parity"))
+        parity = _as_int(spec["parity"], "parity")
+        if parity not in (1, -1):
+            raise ConfigError(f"'parity' must be +1 or -1, got {_brief(parity)}")
+        params = states.CatParams(alpha_sch=alpha_sch, parity=parity)
         return states.cat_state(params, _check_dim(fock.amplitude_dim(alpha_sch, dim), field))
     xi = _as_complex(spec["xi"], "xi")
     if kind == "squeezed_vacuum":

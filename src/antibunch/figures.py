@@ -71,16 +71,14 @@ def _arm(factory, *args) -> np.ndarray:
 def _tables(factory, *args) -> np.ndarray:
     """Moment tables of factory(*values), one per cell of the broadcast args: (..., 3, 3).
 
-    Python numbers, which every refinement step passes, get the cached
-    table itself.
+    Python numbers, as a scalar call passes, get the cached table itself.
     """
     if all(type(a) in (int, float) for a in args):
         return _arm(factory, *args)
     args = np.broadcast_arrays(*args)
-    table = np.empty(args[0].shape + (3, 3), dtype=complex)
-    for idx in np.ndindex(args[0].shape):
-        table[idx] = _arm(factory, *(a.item(idx) for a in args))
-    return table
+    cells = zip(*(a.ravel().tolist() for a in args))
+    table = np.array([_arm(factory, *cell) for cell in cells], dtype=complex)
+    return table.reshape(args[0].shape + (3, 3))
 
 
 def _output(factory_a, args_a, factory_b, args_b, R, phi):

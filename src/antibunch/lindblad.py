@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import zgbsv
 from scipy.sparse.linalg import LinearOperator, expm_multiply, gmres, splu
 
 from . import optimize
@@ -162,8 +162,10 @@ def _pattern(n: int, drift_nz: bytes, jumps_nz: tuple[bytes, ...], bump: bool) -
         cols.append(k * (n + 1))
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     lower, upper = int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0))
-    # band[upper + row - col, col] = L[row, col], scattered as (re, im) pairs.
-    at = 2 * ((upper + rows - cols) * n * n + cols)
+    # band[lower + upper + row - col, col] = L[row, col], scattered as (re,
+    # im) pairs into zgbsv's column-major band storage, whose first `lower`
+    # rows are room for the fill-in of its LU factors.
+    at = 2 * (cols * (2 * lower + upper + 1) + lower + upper + rows - cols)
     scatter = np.stack([at, at + 1], axis=1).ravel()
     pattern = _Pattern(rows, cols, i * n + j, tuple(jumps_at), lower, upper, scatter)
     _frozen(rows, cols, pattern.drift_at, *jumps_at, scatter)
@@ -264,13 +266,14 @@ def _kernel_direct(model: CavityModel, drift: np.ndarray, weight: float) -> np.n
             raise SteadyStateError(f"Liouvillian solve failed: {exc}") from exc
     lower, upper = pattern.lower, pattern.upper
     band = np.bincount(pattern.scatter, vals.view(float),
-                       2 * (lower + upper + 1) * nn).view(complex).reshape(-1, nn)
-    band[upper, 0] += weight
-    try:
-        return solve_banded((lower, upper), band, rhs, overwrite_ab=True, overwrite_b=True,
-                            check_finite=False)
-    except LinAlgError as exc:
-        raise SteadyStateError(f"banded Liouvillian solve failed: {exc}") from exc
+                       2 * (2 * lower + upper + 1) * nn).view(complex).reshape(nn, -1).T
+    band[lower + upper, 0] += weight
+    _, _, x, info = zgbsv(lower, upper, band, rhs, overwrite_ab=True, overwrite_b=True)
+    if info > 0:
+        raise SteadyStateError("banded Liouvillian solve failed: singular matrix")
+    if info < 0:
+        raise SteadyStateError(f"banded Liouvillian solve failed: zgbsv argument {-info} illegal")
+    return x
 
 
 def _kernel_operator(model: CavityModel, drift: np.ndarray, weight: float) -> np.ndarray:

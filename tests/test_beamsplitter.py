@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from antibunch import fock, states
 from antibunch.beamsplitter import (
     BeamsplitterParams,
     _ladder_moments,
+    _sectors,
     bs_unitary,
     g2_from_coeffs,
     heisenberg_residual,
@@ -100,6 +101,33 @@ class TestSectorMixing:
         assert np.max(np.abs(u.conj().T @ u - np.eye(size))) < 1e-12
         n_tot = np.add.outer(np.arange(dims[0]), np.arange(dims[1])).ravel()
         assert not np.any(u[n_tot[:, np.newaxis] != n_tot[np.newaxis, :]])
+
+
+def sectors_one_by_one(dim_a, dim_b):
+    """_sectors' arrays built one sector at a time with eigh_tridiagonal."""
+    count, width = dim_a + dim_b - 1, min(dim_a, dim_b)
+    index = np.full((count, width), dim_a * dim_b)
+    evals = np.zeros((count, width))
+    vecs = np.zeros((count, width, width), dtype=complex)
+    for total in range(count):
+        m = np.arange(max(0, total - dim_b + 1), min(total, dim_a - 1) + 1)
+        size = m.size
+        index[total, :size] = m * dim_b + (total - m)
+        w, v = eigh_tridiagonal(np.zeros(size), np.sqrt((m[:-1] + 1.0) * (total - m[:-1])))
+        evals[total, :size] = w
+        vecs[total, :size, :size] = (1j ** np.arange(size))[:, np.newaxis] * v
+    return index, evals, vecs
+
+
+class TestSectors:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 7), (7, 2), (5, 5), (9, 16), (16, 9), (24, 24),
+                                      (1, 4)])
+    def test_bit_for_bit_one_sector_at_a_time(self, dims):
+        got = _sectors(*dims)
+        index, evals, vecs = sectors_one_by_one(*dims)
+        assert np.array_equal(got.index, index)
+        assert got.evals.tobytes() == evals.tobytes()  # signed zeros included
+        assert got.vecs.tobytes() == vecs.tobytes()
 
 
 class TestConservation:

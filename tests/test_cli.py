@@ -204,7 +204,9 @@ class TestRefusedValues:
          ({"kind": "kerr_coherent", "alpha": 0.3, "chi_t": 10**400}, []),
          ({"kind": "squeezed_coherent", "alpha": 1, "xi": 1e300}, []),
          ({"kind": "coherent", "alpha": 1e100}, []),
-         ({"kind": "coherent", "alpha": 0.3, "dim": 10**400}, [])],
+         ({"kind": "coherent", "alpha": 0.3, "dim": 10**400}, []),
+         ({"kind": "fock", "n": -10**300}, []),
+         ({"kind": "cat", "alpha_sch": 0.2, "parity": 10**300}, [])],
         ids=["dim-negative", "dim-fractional", "dim-zero", "dim-above-limit", "dim-flag-zero", "fock-n-negative",
              "fock-n-fractional", "cat-parity-2", "cat-parity-fractional", "c2-above-1",
              "chi_t-nan", "alpha-infinity", "alpha-minus-infinity", "coherent-truncated",
@@ -212,7 +214,7 @@ class TestRefusedValues:
              "cat-truncated", "coherent-huge", "coherent-huge-dim", "squeezed_coherent-huge",
              "squeezed_vacuum-xi-huge", "squeezed_coherent-xi-huge", "chi_t-integer-beyond-float",
              "squeezed_coherent-picks-302-digit-dim", "coherent-picks-201-digit-dim",
-             "dim-401-digits"],
+             "dim-401-digits", "fock-n-301-digits", "cat-parity-301-digits"],
     )
     def test_g2_state_value(self, tmp_path, capsys, state, extra):
         cfg = write_config(tmp_path, {"state": state})

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from antibunch import figures
 from antibunch.errors import VacuumOutputError
-from antibunch.optimize import Axis, SweepSpec, min_curve, sweep
+from antibunch.optimize import Axis, SweepSpec, min_curve, refine_min, sweep
 from antibunch.figures import (
     FIGURES,
     fig2,
@@ -169,6 +169,29 @@ class TestScanCurves:
         np.testing.assert_array_equal(got[:, :4], want)
         np.testing.assert_array_equal(got[:, 4], 0.5 / want[:, 0] ** 2)
         assert got[:, 5].tolist() == [1, 1, 1]
+
+    @pytest.mark.parametrize("build, objective, scan, inner, fixed", [
+        (fig3b, "kerr_mix", Axis("alpha", 0.05, 0.5, 10),
+         (Axis("R", 0.01, 0.5, 41), Axis("phi", 0.0, 2.0, 41)), {"chi_t": 0.05, "dim": 16}),
+        (fig4, "two_photon_mix", Axis("c2", 0.01, 0.5, 50), (Axis("alpha", 0.02, 2.0, 80),),
+         {"R": 0.5, "phi": 0.5, "dim": 16}),
+    ], ids=["fig3b", "fig4"])
+    def test_default_curve_matches_one_scalar_refinement_per_row(self, build, objective, scan,
+                                                                inner, fixed):
+        # min_curve refines every row in one batched simplex; here each row
+        # is a 1-D refine_min on scalar calls, seeded from the same sweep.
+        fn, names = getattr(figures, objective), [ax.name for ax in inner]
+        coarse = sweep(SweepSpec(axes=(scan, *inner), objective=objective, fixed=fixed))
+        want = []
+        for s, cells in zip(scan.values(), np.where(coarse.defined, coarse.g2, np.inf)):
+            idx = np.unravel_index(int(np.argmin(cells)), cells.shape)
+            base = {scan.name: float(s), **fixed}
+            x, g2 = refine_min(lambda x: fn(**dict(zip(names, map(float, x))), **base)[0],
+                               [float(ax.values()[i]) for ax, i in zip(inner, idx)],
+                               bounds=[(ax.lo, ax.hi) for ax in inner])
+            want.append((float(s), g2, fn(**dict(zip(names, x)), **base)[1], *x))
+        got = np.array(build().rows)[:, :3 + len(inner)]
+        np.testing.assert_array_equal(got, np.array(want))
 
     def test_fig4_vacuum_input_g2_is_undefined(self):
         with warnings.catch_warnings():

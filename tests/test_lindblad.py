@@ -177,15 +177,16 @@ class TestAssembly:
         # banded LU.  Several: L + weight * |e_0><trace| goes to SuperLU.
         factored = []
 
-        def recording_solve_banded(l_and_u, ab, b, **kwargs):
-            factored.append((l_and_u, ab.copy()))
-            return scipy.linalg.solve_banded(l_and_u, ab, b, **kwargs)
+        def recording_zgbsv(kl, ku, ab, b, **kwargs):
+            # zgbsv's band has kl rows of LU fill-in above the matrix's band
+            factored.append(((kl, ku), ab[kl:].copy()))
+            return scipy.linalg.lapack.zgbsv(kl, ku, ab, b, **kwargs)
 
         def recording_splu(matrix):
             factored.append(matrix)
             return splu(matrix)
 
-        monkeypatch.setattr(lindblad, "solve_banded", recording_solve_banded)
+        monkeypatch.setattr(lindblad, "zgbsv", recording_zgbsv)
         monkeypatch.setattr(lindblad, "splu", recording_splu)
         drift = lindblad._drift(model)
         weight = lindblad._bump_weight(model, drift)
@@ -323,10 +324,10 @@ class TestSteadyState:
         assert np.max(np.abs(rho - ref)) <= 1e-13
 
     def test_banded_kernel_failure_names_kernel(self, monkeypatch):
-        def singular(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("singular matrix")
+        def singular(kl, ku, ab, b, **kwargs):
+            return ab, np.arange(1, b.size + 1, dtype=np.int32), b, 1  # info > 0: U[0, 0] = 0
 
-        monkeypatch.setattr(lindblad, "solve_banded", singular)
+        monkeypatch.setattr(lindblad, "zgbsv", singular)
         lindblad._solve.cache_clear()  # an earlier solve of this model would skip the kernel
         with pytest.raises(SteadyStateError, match="banded Liouvillian solve failed: singular"):
             steady_state(build_single_kerr(0.3, 0.6, 0.1, 10))

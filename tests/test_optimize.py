@@ -314,6 +314,132 @@ class TestRefineMinTakesScipysSteps:
                                    [0.9, 0.1], [(0.0, 1.0)])
 
 
+def run_rows(objectives, starts, bounds=None, **kwargs):
+    """Each row as refine_min's 2-D form and as a 1-D refine_min run on it alone.
+
+    objectives[i] is row i's scalar objective, which raises VacuumOutputError
+    where it is undefined; the batched objective gives NaN there instead.
+    Returns (batched, alone): per row (x, f, points), floats as exact hex
+    strings, and the UserWarning texts, the 1-D runs' in row order with
+    every out-of-bounds warning before every early stop, as the batch emits
+    them.  numpy's RuntimeWarnings (inf - inf in the stopping test) are left
+    out: an array operation over many rows warns once.
+    """
+    def dark_as_nan(fn, x):
+        try:
+            return fn(x)
+        except VacuumOutputError:
+            return np.nan
+
+    def as_raise(fn):
+        def strict(x):
+            v = fn(x)
+            if np.isnan(v):
+                raise VacuumOutputError("dark")
+            return v
+        return strict
+
+    points = [[] for _ in objectives]
+
+    def batched(xs, rows):
+        assert xs.shape == (len(rows), len(starts[0]))
+        for x, row in zip(xs, rows):
+            points[row].append(tuple(map(float.hex, x)))
+        return np.array([dark_as_nan(objectives[row], x) for x, row in zip(xs, rows)])
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        x, f = refine_min(batched, np.array(starts, dtype=float), bounds, **kwargs)
+    assert x.shape == (len(starts), len(starts[0])) and f.shape == (len(starts),)
+    got = [(tuple(map(float.hex, x[i])), float.hex(f[i]), points[i]) for i in range(len(starts))]
+    want, warned = [], []
+    for fn, start in zip(objectives, starts):
+        xi, fi, pts, w = run_recorded(refine_min, as_raise(fn), start, bounds, **kwargs)
+        want.append((xi, fi, pts))
+        warned += [text for user, text in w if user]
+    warned.sort(key=lambda text: "stopped early" in text)
+    batch_warned = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+    return (got, batch_warned), (want, warned)
+
+
+@st.composite
+def batch_case(draw):
+    objective, start, bounds, kwargs = draw(refine_case())
+    n = len(start)
+    # A row undefined everywhere spends all of its budget: keep budgets small.
+    kwargs["maxfev"] = min(kwargs["maxfev"], 1000)
+    rows = draw(st.integers(1, 12))
+    starts, objectives = [start], [objective]
+    for _ in range(rows - 1):
+        if bounds is None:
+            starts.append([draw(st.sampled_from([0.0, 0.3, -1.7]) | st.floats(-3, 3))
+                           for _ in range(n)])
+        else:
+            row = []
+            for b in bounds:
+                lo = -3.0 if b[0] is None else b[0]
+                hi = 3.0 if b[1] is None else b[1]
+                row.append(draw(st.sampled_from([lo, hi, hi - 1e-3 * abs(hi), lo - 0.5])
+                                | st.floats(lo, hi)))
+            starts.append(row)
+        # dark=inf: a row undefined everywhere; nan_above: NaN in part
+        objectives.append(landscape(
+            centers=np.array(draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n))),
+            weights=np.array(draw(st.lists(st.floats(0.1, 10), min_size=n, max_size=n))),
+            step=draw(st.sampled_from([0.0, 1e-3, 0.5])),
+            dark=draw(st.sampled_from([-np.inf, -np.inf, 0.0, np.inf])),
+            nan_above=draw(st.sampled_from([np.inf, 1.0, 0.0])),
+        ))
+    return objectives, starts, bounds, kwargs
+
+
+class TestBatchedRefineTakesEachRowsSteps:
+    """refine_min's 2-D form against a 1-D refine_min per row, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=batch_case())
+    def test_same_points_result_and_warnings(self, case):
+        objectives, starts, bounds, kwargs = case
+        batched, alone = run_rows(objectives, starts, bounds, **kwargs)
+        assert batched == alone
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_budgets_spent_inside_shrinks(self, n):
+        # As TestRefineMinTakesScipysSteps's shrink test, with rows whose
+        # shrinks begin at different evaluation counts under one budget.
+        starts = [np.linspace(0.2, 0.8, n) * (1 + 0.1 * k) for k in range(5)]
+
+        def spiky(start):
+            return lambda x: 0.0 if np.array_equal(x, start) else 1.0 + float(np.sum(np.abs(x)))
+
+        objectives = [spiky(s) for s in starts]
+        for maxfev in range(3 * (n + 3)):
+            batched, alone = run_rows(objectives, starts, [(0.0, 1.0)] * n, maxfev=maxfev)
+            assert batched == alone
+
+    def test_iteration_limit(self):
+        batched, alone = run_rows([lambda v: np.nan, lambda v: (v[0] - 0.3) ** 2],
+                                  [[0.5], [0.5]], maxfev=20000)
+        assert batched == alone
+        assert batched[1] == ["refine_min stopped early: Maximum number of iterations "
+                              "has been exceeded.; returning best found"]
+
+    def test_finished_rows_leave_the_batch(self):
+        sizes = []
+
+        def fn(xs, rows):
+            sizes.append(len(rows))
+            return np.sum((xs - np.array([0.3, 0.7])) ** 2, axis=1) * (1 + rows)
+
+        refine_min(fn, [[0.5, 0.5], [0.31, 0.69], [0.0, 1.0]], maxfev=400)
+        assert sizes[:2] == [3, 3 * 3]  # the starts, then every first simplex
+        assert sizes[-1] < 3
+
+    def test_bad_bounds_are_refused(self):
+        with pytest.raises(ValueError):
+            refine_min(lambda xs, rows: xs[:, 0], [[0.5]], bounds=[(1.0, 0.0)])
+
+
 def test_scipy_optimize_is_never_imported():
     # A fresh interpreter: importing the CLI, a refined figure and a
     # refinement load everything they need, and scipy.optimize is not part of it.

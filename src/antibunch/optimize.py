@@ -8,12 +8,16 @@ called with scalars it returns floats.  A cell whose
 g2 is undefined is one the objective returns as NaN or inf (a dark output);
 such cells are stored as explicit markers, never fabricated numbers, and
 are excluded from argmin.  Identical specs produce bit-identical results.
+refine_min runs one Nelder–Mead core, _simplex, for one start and for every
+row of a curve alike.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,205 +123,97 @@ def sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(axis_values=values, g2=g2, n_mean=n_mean, defined=defined)
 
 
-class _Budget(Exception):
-    """The simplex's evaluation budget is spent."""
+def _clip(x, lo, hi, keep_ties):
+    """np.clip(x, lo, hi) on float lists; NaN stays NaN.
+
+    A tie with a bound (0.0 against -0.0) goes to the bound, as np.clip does
+    against bound arrays, or with keep_ties to x, as against one broadcast pair.
+    """
+    if keep_ties:
+        return [l if v < l else h if v > h else v for v, l, h in zip(x, lo, hi)]
+    return [v if v != v else (v if v < h else h) if v > l else (l if l < h else h)
+            for v, l, h in zip(x, lo, hi)]
 
 
-def _nelder_mead(fn, x0, bounds, fatol, maxfev, maxiter=4000):
-    """Bounded Nelder–Mead (Nelder & Mead, Comput. J. 7, 308 (1965)).
+def _ordered(sim, fsim):
+    """The vertices and their values in np.argsort's order: NaN last, ties as it leaves them."""
+    ind = np.array(fsim).argsort().tolist()
+    return [sim[i] for i in ind], [fsim[i] for i in ind]
+
+
+def _simplex(x0, lo, hi, fatol, maxfev, maxiter=4000):
+    """Bounded Nelder–Mead (Nelder & Mead, Comput. J. 7, 308 (1965)) as a generator.
 
     Takes exactly the steps of scipy 1.17's ``minimize(method="Nelder-Mead")``
-    with its default simplex and coefficients: the same numpy operations in
-    the same order, vertices clipped to the bounds, and the budget counted
-    alike, so a budget spent inside the first simplex or a shrink leaves the
-    values not yet evaluated as they were.  Returns (x, f, reason), where
-    reason says why the search stopped early and is None on convergence.
+    with its default simplex and coefficients, on float lists; lo and hi
+    hold one bound for all coordinates or one each, ±inf where none.  Yields
+    the points it needs next (the first simplex within budget, then one
+    point, or up to n shrink points) and is sent their values; a budget
+    spent inside the first simplex or a shrink leaves the values not yet
+    evaluated as they were, as in scipy.  Returns (x, f, reason): reason
+    says why the search stopped early, None on convergence.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     n = len(x0)
-    pairs = [(None, None)] * n if bounds is None else bounds  # clipping to ±inf changes nothing
-    lo = np.array([-np.inf if b is None else float(b) for b, _ in pairs])
-    hi = np.array([np.inf if b is None else float(b) for _, b in pairs])
-    if np.any(hi < lo):
-        raise ValueError("a lower bound is greater than its upper bound")
-    lo, hi = np.broadcast_to(lo, x0.shape), np.broadcast_to(hi, x0.shape)  # one pair serves all
-    if np.any(lo > x0) or np.any(x0 > hi):
-        warnings.warn("Initial guess is not within the specified bounds", stacklevel=2)
-
-    def clip(x):
-        return np.clip(x, lo, hi)
-
-    x0 = clip(x0)
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    # Where one bound pair serves every coordinate, scipy clips against it
+    # broadcast, and np.clip then leaves a coordinate that ties a bound as it is.
+    ties = len(lo) == 1
+    if ties:
+        lo, hi = lo * n, hi * n
+    if any(l > v for l, v in zip(lo, x0)) or any(v > h for v, h in zip(x0, hi)):
+        warnings.warn("Initial guess is not within the specified bounds")
+    x0 = _clip(x0, lo, hi, ties)
+    sim = [x0] + [[((1 + 0.05) * v if v != 0 else 0.00025) if j == k else v
+                   for j, v in enumerate(x0)] for k in range(n)]
     # A start just under an upper bound puts vertices above it; they are
     # reflected into the interior, so that clipping does not collapse the simplex.
-    sim = clip(np.where(sim > hi, 2 * hi - sim, sim))
-    calls = 0
-
-    def f(x):
-        nonlocal calls
-        if calls >= maxfev:
-            raise _Budget
-        calls += 1
-        return fn(np.copy(x))
-
-    def ordered(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-    fsim = np.full(n + 1, np.inf)
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _Budget:
-        pass
-    sim, fsim = ordered(*ordered(sim, fsim))  # twice, as scipy: argsort may move ties
+    sim = [_clip([2 * h - v if v > h else v for v, h in zip(x, hi)], lo, hi, ties)
+           for x in sim]
+    fsim = [np.inf] * (n + 1)
+    calls = min(n + 1, max(maxfev, 0))
+    if calls:
+        fsim[:calls] = yield sim[:calls]
+    sim, fsim = _ordered(*_ordered(sim, fsim))  # twice, as scipy: argsort may move ties
     iterations = 1
     while calls < maxfev and iterations < maxiter:
-        try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= XATOL
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = clip((1 + rho) * xbar - rho * sim[-1])
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = clip((1 + rho * chi) * xbar - rho * chi * sim[-1])
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:  # outside contraction
-                    xc = clip((1 + psi * rho) * xbar - psi * rho * sim[-1])
-                    fxc = f(xc)
-                    accept = fxc <= fxr
-                else:  # inside contraction
-                    xc = clip((1 - psi) * xbar + psi * sim[-1])
-                    fxc = f(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:  # shrink towards the best vertex
-                    for j in range(1, n + 1):
-                        sim[j] = clip(sim[0] + sigma * (sim[j] - sim[0]))
-                        fsim[j] = f(sim[j])
-            iterations += 1
-        except _Budget:
-            pass
-        sim, fsim = ordered(sim, fsim)
-    reason = None
-    if calls >= maxfev:
-        reason = "Maximum number of function evaluations has been exceeded."
-    elif iterations >= maxiter:
-        reason = "Maximum number of iterations has been exceeded."
-    return sim[0], np.min(fsim), reason
-
-
-def _nelder_mead_rows(fn, x0, bounds, fatol, maxfev, maxiter=4000):
-    """_nelder_mead on every row of x0 at once, each row taking its own steps.
-
-    fn(points, rows) takes a (k, n) array of points and the (k,) indices of
-    their rows and returns their k values.  Each row keeps its own simplex,
-    evaluation count and iteration count and takes exactly the steps that
-    _nelder_mead takes from that row alone, budget cuts included; a finished
-    row leaves the batch.  An iteration calls fn at most three times: the
-    reflections, then the expansions and contractions, then the shrinks,
-    each for just the rows that need it.  Returns (x, f, reasons): the
-    (rows, n) best points, their (rows,) values and each row's reason.
-    """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    m, n = x0.shape
-    pairs = [(None, None)] * n if bounds is None else bounds
-    lo = np.array([-np.inf if b is None else float(b) for b, _ in pairs])
-    hi = np.array([np.inf if b is None else float(b) for _, b in pairs])
-    if np.any(hi < lo):
-        raise ValueError("a lower bound is greater than its upper bound")
-    lo, hi = np.broadcast_to(lo, (n,)), np.broadcast_to(hi, (n,))
-    for _ in range(np.count_nonzero(np.any((lo > x0) | (x0 > hi), axis=1))):
-        warnings.warn("Initial guess is not within the specified bounds", stacklevel=2)
-
-    def clip(x):
-        return np.clip(x, lo, hi)
-
-    def ordered(sim, fsim):
-        ind = np.argsort(fsim, axis=1)
-        return np.take_along_axis(sim, ind[:, :, None], 1), np.take_along_axis(fsim, ind, 1)
-
-    x0 = clip(x0)
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    for k in range(n):
-        sim[:, k + 1, k] = np.where(x0[:, k] != 0, (1 + 0.05) * x0[:, k], 0.00025)
-    sim = clip(np.where(sim > hi, 2 * hi - sim, sim))
-    fsim = np.full((m, n + 1), np.inf)
-    first = max(0, min(maxfev, n + 1))  # the first simplex's vertices within budget
-    if first:
-        points = sim[:, :first].reshape(-1, n)
-        fsim[:, :first] = fn(points, np.repeat(np.arange(m), first)).reshape(m, first)
-    calls = np.full(m, first)
-    iterations = np.ones(m, dtype=int)
-    sim, fsim = ordered(*ordered(sim, fsim))
-    live = np.flatnonzero((calls < maxfev) & (iterations < maxiter))
-    while live.size:
-        sim_l, fsim_l = sim[live], fsim[live]
-        done = ((np.max(np.abs(sim_l[:, 1:] - sim_l[:, :1]), axis=(1, 2)) <= XATOL)
-                & (np.max(np.abs(fsim_l[:, :1] - fsim_l[:, 1:]), axis=1) <= fatol))
-        go = live[~done]
-        if not go.size:
+        best = sim[0]
+        if (all(abs(v - v0) <= XATOL for x in sim[1:] for v, v0 in zip(x, best))
+                and all(abs(fsim[0] - f) <= fatol for f in fsim[1:])):
             break
-        sim_g, fsim_g = sim_l[~done], fsim_l[~done]
-        worst = sim_g[:, -1]
-        xbar = np.add.reduce(sim_g[:, :-1], 1) / n
-        xr = clip((1 + rho) * xbar - rho * worst)
-        fxr = fn(xr, go)
-        calls[go] += 1
-        expand = fxr < fsim_g[:, 0]
-        accept_r = ~expand & (fxr < fsim_g[:, -2])
-        outside = ~expand & ~accept_r & (fxr < fsim_g[:, -1])
-        inside = ~expand & ~accept_r & ~outside
-        # Expansion or contraction: one more point for every row with budget left.
-        second = ~accept_r & (calls[go] < maxfev)
-        x2 = np.where(expand[:, None], clip((1 + rho * chi) * xbar - rho * chi * worst),
-                      np.where(outside[:, None],
-                               clip((1 + psi * rho) * xbar - psi * rho * worst),
-                               clip((1 - psi) * xbar + psi * worst)))
-        f2 = np.full_like(fxr, np.nan)
-        if second.any():
-            f2[second] = fn(x2[second], go[second])
-            calls[go[second]] += 1
-        take_2 = second & ((expand & (f2 < fxr)) | (outside & (f2 <= fxr))
-                           | (inside & (f2 < fsim_g[:, -1])))
-        take_r = accept_r | (second & expand & ~take_2)
-        sim_g[take_r, -1], fsim_g[take_r, -1] = xr[take_r], fxr[take_r]
-        sim_g[take_2, -1], fsim_g[take_2, -1] = x2[take_2], f2[take_2]
-        shrink = second & ~expand & ~take_2
-        # A shrink moves vertex j and then evaluates it, while budget lasts:
-        # the vertex at which the budget runs out moves but keeps its value.
-        left = maxfev - calls[go]
-        j = np.arange(1, n + 1)
-        moved = shrink[:, None] & (j <= left[:, None] + 1)
-        scored = shrink[:, None] & (j <= left[:, None])
-        if moved.any():
-            best = sim_g[:, :1]
-            sim_g[:, 1:] = np.where(moved[:, :, None],
-                                    clip(best + sigma * (sim_g[:, 1:] - best)), sim_g[:, 1:])
-        if scored.any():
-            at = np.nonzero(scored)
-            fsim_g[:, 1:][at] = fn(sim_g[:, 1:][at], go[at[0]])
-            calls[go] += scored.sum(axis=1)
-        cut = (~accept_r & ~second) | (shrink & (left < n))
-        iterations[go[~cut]] += 1
-        sim[go], fsim[go] = ordered(sim_g, fsim_g)
-        live = go[(calls[go] < maxfev) & (iterations[go] < maxiter)]
-    reasons = [None] * m
-    for row in range(m):
-        if calls[row] >= maxfev:
-            reasons[row] = "Maximum number of function evaluations has been exceeded."
-        elif iterations[row] >= maxiter:
-            reasons[row] = "Maximum number of iterations has been exceeded."
-    return sim[:, 0], np.min(fsim, axis=1), reasons
+        # In vertex order from 0.0, as np.add.reduce sums: a sum of -0.0 is 0.0.
+        xbar = [reduce(add, column, 0.0) / n for column in zip(*sim[:-1])]
+        worst = sim[-1]
+        xr = _clip([2.0 * c - w for c, w in zip(xbar, worst)], lo, hi, ties)  # reflection
+        (fxr,) = yield [xr]
+        calls += 1
+        if fsim[0] <= fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+            iterations += 1
+        elif calls < maxfev:
+            # Expansion, outside contraction or inside contraction.
+            expand, outside = fxr < fsim[0], fxr < fsim[-1]
+            a, b = (3.0, -2.0) if expand else (1.5, -0.5) if outside else (0.5, 0.5)
+            x2 = _clip([a * c + b * w for c, w in zip(xbar, worst)], lo, hi, ties)
+            (f2,) = yield [x2]
+            calls += 1
+            if expand or (f2 <= fxr if outside else f2 < fsim[-1]):
+                sim[-1], fsim[-1] = (xr, fxr) if expand and not f2 < fxr else (x2, f2)
+                iterations += 1
+            else:
+                # Shrink towards the best vertex while budget lasts: the vertex
+                # at which it runs out moves but keeps its value, as in scipy.
+                left = maxfev - calls
+                moved, scored = min(n, left + 1), min(n, left)
+                sim[1:moved + 1] = [_clip([v0 + 0.5 * (v - v0) for v, v0 in zip(x, best)],
+                                          lo, hi, ties) for x in sim[1:moved + 1]]
+                if scored:
+                    fsim[1:scored + 1] = yield sim[1:scored + 1]
+                    calls += scored
+                iterations += scored == n
+        sim, fsim = _ordered(sim, fsim)
+    reason = ("Maximum number of function evaluations has been exceeded." if calls >= maxfev
+              else "Maximum number of iterations has been exceeded." if iterations >= maxiter
+              else None)
+    return sim[0], float(np.min(fsim)), reason
 
 
 def refine_min(
@@ -338,41 +234,59 @@ def refine_min(
     A 2-D start (rows x n) refines every row at once: the objective is then
     called as objective(points, rows) on a (k, n) array of points and the
     (k,) indices of their rows, returns k values, and marks an undefined
-    point with NaN or inf.  Each row gets exactly the points, result and
-    warning of a 1-D refinement from that row alone, with its own budget;
-    returns the (rows, n) points and (rows,) values.
+    point with NaN or inf; returns the (rows, n) points and (rows,) values.
+
+    Either form runs one _simplex per row, each round scoring every row's
+    pending points in one objective call (a 1-D start: one call per point),
+    so each row gets exactly the points, result and warnings of a 1-D
+    refinement from it alone; out-of-bounds warnings precede early stops.
     """
     x0 = np.asarray(start, dtype=float)
-    if x0.ndim == 2:
-        return _refine_rows(objective, x0, bounds, fatol, maxfev)
+    starts = np.atleast_2d(x0).tolist()
+    pairs = [(None, None)] if bounds is None else bounds
+    lo = [-np.inf if b is None else float(b) for b, _ in pairs]
+    hi = [np.inf if b is None else float(b) for _, b in pairs]
+    if any(h < l for l, h in zip(lo, hi)) or len(lo) not in (1, len(starts[0])):
+        raise ValueError("bounds need lo <= hi, and one (lo, hi) pair or one per coordinate")
+    if x0.ndim == 1:
+        def guarded(x) -> float:
+            try:
+                return float(objective(np.array(x)))
+            except VacuumOutputError:
+                return np.inf
 
-    def guarded(x: np.ndarray) -> float:
-        try:
-            return float(objective(x))
-        except VacuumOutputError:
-            return np.inf
+        def evaluate(points, rows):
+            return [guarded(x) for x in points]
+    else:
+        def evaluate(points, rows):
+            rows = np.array(rows)
+            f = np.broadcast_to(np.asarray(objective(np.array(points), rows), dtype=float),
+                                rows.shape)
+            return np.where(np.isnan(f), np.inf, f).tolist()
 
-    f0 = guarded(x0)
-    x, fun, reason = _nelder_mead(guarded, x0, bounds, fatol, maxfev)
-    if reason:
+    f0 = evaluate(starts, list(range(len(starts))))
+    searches = dict(enumerate(_simplex(x, lo, hi, fatol, maxfev) for x in starts))
+    results, values = [None] * len(starts), dict.fromkeys(searches)
+    while searches:
+        pending = {}
+        for row, search in list(searches.items()):
+            try:
+                pending[row] = search.send(values[row])
+            except StopIteration as stop:
+                results[row] = stop.value
+                del searches[row]
+        if pending:
+            f, at = evaluate([x for points in pending.values() for x in points],
+                             [row for row, points in pending.items() for _ in points]), 0
+            for row, points in pending.items():
+                values[row], at = f[at:at + len(points)], at + len(points)
+    for reason in filter(None, (reason for _, _, reason in results)):
         warnings.warn(f"refine_min stopped early: {reason}; returning best found")
-    if fun <= f0:
-        return tuple(float(v) for v in x), float(fun)
-    return tuple(float(v) for v in x0), f0
-
-
-def _refine_rows(objective, x0, bounds, fatol, maxfev):
-    """refine_min's 2-D form: one batched simplex over the rows of x0."""
-    def values(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        f = np.broadcast_to(np.asarray(objective(points, rows), dtype=float), rows.shape)
-        return np.where(np.isnan(f), np.inf, f)
-
-    f0 = values(x0.copy(), np.arange(len(x0)))
-    x, fun, reasons = _nelder_mead_rows(values, x0, bounds, fatol, maxfev)
-    for reason in filter(None, reasons):
-        warnings.warn(f"refine_min stopped early: {reason}; returning best found")
-    better = fun <= f0
-    return np.where(better[:, None], x, x0), np.where(better, fun, f0)
+    x = [xi if fi <= gi else si for (xi, fi, _), gi, si in zip(results, f0, starts)]
+    fun = [fi if fi <= gi else gi for (_, fi, _), gi in zip(results, f0)]
+    if x0.ndim == 1:
+        return tuple(x[0]), fun[0]
+    return np.array(x), np.array(fun)
 
 
 def on_bound(names: Sequence[str], x: Sequence[float],

@@ -211,6 +211,8 @@ def run_recorded(refine, objective, *args, **kwargs):
 
     A warning is its text and whether it is a UserWarning: scipy's
     out-of-bounds warning is an OptimizeWarning, a UserWarning subclass.
+    RuntimeWarnings are left out: scipy's stopping test warns on inf - inf
+    between undefined vertices, and refine_min does not.
     """
     points = []
 
@@ -221,7 +223,8 @@ def run_recorded(refine, objective, *args, **kwargs):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         x, f = refine(recorded, *args, **kwargs)
-    warned = [(issubclass(w.category, UserWarning), str(w.message)) for w in caught]
+    warned = [(issubclass(w.category, UserWarning), str(w.message)) for w in caught
+              if not issubclass(w.category, RuntimeWarning)]
     return tuple(map(float.hex, x)), float.hex(f), points, warned
 
 
@@ -438,6 +441,30 @@ class TestBatchedRefineTakesEachRowsSteps:
     def test_bad_bounds_are_refused(self):
         with pytest.raises(ValueError):
             refine_min(lambda xs, rows: xs[:, 0], [[0.5]], bounds=[(1.0, 0.0)])
+
+
+@pytest.mark.parametrize("dark_above", [-np.inf, 0.4], ids=["everywhere", "in-part"])
+def test_undefined_objective_raises_no_runtime_warning(dark_above):
+    # Two undefined vertices are inf - inf in the stopping test; that must
+    # not warn, from a 1-D start or from the rows of a 2-D one.
+    def scalar(v):
+        if v[0] > dark_above:
+            raise VacuumOutputError("dark")
+        return (v[0] - 0.3) ** 2
+
+    def batched(xs, rows):
+        return np.where(xs[:, 0] > dark_above, np.nan, (xs[:, 0] - 0.3) ** 2)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # early stops of the dark searches
+        warnings.simplefilter("error", RuntimeWarning)
+        x, f = refine_min(scalar, [0.5], bounds=[(0.0, 1.0)], maxfev=300)
+        xs, fs = refine_min(batched, [[0.5], [0.6], [0.2]], bounds=[(0.0, 1.0)], maxfev=300)
+    # A search that starts in the dark keeps its start; one that starts in
+    # the light finds the minimum.
+    assert (x, f) == ((0.5,), np.inf) and fs[:2].tolist() == [np.inf] * 2
+    if dark_above > 0:
+        assert xs[2, 0] == pytest.approx(0.3, abs=1e-4)
 
 
 def test_scipy_optimize_is_never_imported():

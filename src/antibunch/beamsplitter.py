@@ -1,12 +1,12 @@
-"""Lossless two-mode beamsplitter: mixing unitary and output-mode statistics.
+"""Lossless two-mode beamsplitter: mixing and output-mode statistics.
 
 The Heisenberg map is fixed to
 
     A = sqrt(T) a + sqrt(R) e^{i phi pi} b
     B = -sqrt(R) a + sqrt(T) e^{i phi pi} b
 
-with phi expressed in units of pi throughout.  The Schroedinger unitary is
-realized as a number-operator phase rotation on mode b followed by the real
+with phi expressed in units of pi throughout.  mix realizes the Schroedinger
+unitary as a number-operator phase rotation on mode b followed by the real
 rotation exp(theta (a^dag b - a b^dag)), theta = arccos(sqrt(T)).
 
 The rotation conserves the total photon number N = n_a + n_b, so it is
@@ -14,12 +14,10 @@ block-diagonal over photon-number sectors (Campos, Saleh & Teich, PRA 40,
 1371 (1989)).  In the truncated joint basis sector N holds the states
 |m, N-m> that fit both truncations, and the generator restricted to it is a
 real tridiagonal matrix with off-diagonals sqrt((m+1)(N-m)).  Each block is
-diagonalized once per truncation pair by one call of LAPACK's dstevd (the
-routine scipy's eigh_tridiagonal picks for a full spectrum, without its
-wrapper's cost), and mixing applies the small blocks to their slices of
-the joint vector.  Sectors with N >= min(dim) are cut short by the
-truncation and are rotated exactly as truncated; both factors stay exactly
-unitary, so no re-truncation happens after mixing.
+diagonalized once per truncation pair by one LAPACK dstevd call, and mixing
+applies the small blocks to their slices of the joint vector.  Sectors with
+N >= min(dim) are cut short by the truncation: mix stays unitary, and obeys
+the Heisenberg map (_mode_map_residual checks it) on inputs whose sectors fit.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import numpy as np
 from scipy.linalg.lapack import dstevd
 
 from .errors import INTENSITY_FLOOR, VacuumOutputError
-from .fock import FockVector, TwoModeState, annihilation, lift_a, lift_b
+from .fock import FockVector, TwoModeState, annihilation
 
 
 @dataclass(frozen=True)
@@ -100,42 +98,17 @@ def _sectors(dim_a: int, dim_b: int) -> _Sectors:
     return _Sectors(index, evals, vecs)
 
 
-def _rotation_phases(params: BeamsplitterParams, sectors: _Sectors) -> np.ndarray:
-    """exp(-i theta lambda) per sector eigenvalue, theta = arccos(sqrt(T))."""
-    theta = math.acos(min(1.0, math.sqrt(params.T)))
-    return np.exp(-1j * theta * sectors.evals)[:, np.newaxis, :]
-
-
-def _occupations(dim_a: int, dim_b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Photon numbers (n_a, n_b) of each joint basis state, in joint index order."""
-    return (np.repeat(np.arange(dim_a, dtype=float), dim_b),
-            np.tile(np.arange(dim_b, dtype=float), dim_a))
-
-
-def bs_unitary(params: BeamsplitterParams, dim_a: int, dim_b: int) -> np.ndarray:
-    """Dense (dim_a*dim_b)^2 mixing unitary in the joint number basis."""
-    sectors = _sectors(dim_a, dim_b)
-    size = dim_a * dim_b
-    # Padding rows and columns land in the extra row and column, cut below.
-    rot = np.zeros((size + 1, size + 1), dtype=complex)
-    vecs, idx = sectors.vecs, sectors.index
-    blocks = (vecs * _rotation_phases(params, sectors)) @ vecs.conj().swapaxes(1, 2)
-    rot[idx[:, :, np.newaxis], idx[:, np.newaxis, :]] = blocks
-    phase = np.exp(1j * params.phase_rad * _occupations(dim_a, dim_b)[1])
-    return rot[:size, :size] * phase[np.newaxis, :]
-
-
 def _mixed_amps(amps_a: np.ndarray, amps_b: np.ndarray, params: BeamsplitterParams) -> np.ndarray:
     dim_a, dim_b = amps_a.size, amps_b.size
     sectors = _sectors(dim_a, dim_b)
     psi = np.zeros(dim_a * dim_b + 1, dtype=complex)
     psi[:-1] = np.kron(amps_a, amps_b * np.exp(1j * params.phase_rad * np.arange(dim_b)))
-    vecs = sectors.vecs
-    # Row-vector form of vecs diag(phases) vecs^dag psi, one row per sector.
-    coeffs = np.conj(np.conj(psi[sectors.index])[:, np.newaxis, :] @ vecs)
-    coeffs *= _rotation_phases(params, sectors)
+    # Row-vector form of vecs diag(exp(-i theta lambda)) vecs^dag psi, one row per sector.
+    coeffs = np.conj(np.conj(psi[sectors.index])[:, np.newaxis, :] @ sectors.vecs)
+    theta = math.acos(min(1.0, math.sqrt(params.T)))
+    coeffs *= np.exp(-1j * theta * sectors.evals)[:, np.newaxis, :]
     out = np.empty_like(psi)
-    out[sectors.index] = (coeffs @ vecs.swapaxes(1, 2))[:, 0, :]
+    out[sectors.index] = (coeffs @ sectors.vecs.swapaxes(1, 2))[:, 0, :]
     return out[:-1]
 
 
@@ -145,8 +118,27 @@ def mix(state_a: FockVector, state_b: FockVector, params: BeamsplitterParams) ->
     return TwoModeState(out, state_a.dim, state_b.dim)
 
 
-def _weighted_g2(p: np.ndarray, occ: np.ndarray) -> tuple[float, float]:
-    """(g2, n_mean) of a photon-number distribution p over occupations occ."""
+def _mode_map_residual(psi_a: FockVector, psi_b: FockVector, params: BeamsplitterParams) -> float:
+    """Largest deviation of mix from the mode map, as a substitution rule.
+
+    With out = mix(psi_a, psi_b), x = mix(a psi_a, psi_b), y = mix(psi_a, b psi_b)
+    and e = e^{i phi pi}, the map gives a out = sqrt(T) x + sqrt(R) e y and
+    b out = -sqrt(R) x + sqrt(T) e y.  Both hold to rounding when every sector
+    the inputs fill fits: inputs on k_a and k_b levels need k_a + k_b - 1 <= min(dim).
+    """
+    low_a, low_b = annihilation(psi_a.dim), annihilation(psi_b.dim)
+    a, b = psi_a.amps, psi_b.amps
+    out, x, y = (mix(FockVector(u), FockVector(v), params).as_matrix()
+                 for u, v in ((a, b), (low_a @ a, b), (a, low_b @ b)))
+    t, r, e = math.sqrt(params.T), math.sqrt(params.R), np.exp(1j * params.phase_rad)
+    res_a = np.abs(low_a @ out - (t * x + r * e * y)).max()
+    res_b = np.abs(out @ low_b.T - (-r * x + t * e * y)).max()
+    return float(max(res_a, res_b))
+
+
+def _weighted_g2(p: np.ndarray) -> tuple[float, float]:
+    """(g2, n_mean) of a photon-number distribution p over 0, 1, ..., p.size - 1."""
+    occ = np.arange(p.size, dtype=float)
     n_mean = float(p @ occ)
     if n_mean < INTENSITY_FLOOR:
         raise VacuumOutputError(
@@ -162,18 +154,19 @@ def output_g2(
     """(g2, n_mean) of output mode A.
 
     g2 = <A+ A+ A A> / <A+ A>^2; both moments are diagonal in the joint
-    number basis, so only one mixing matvec is needed per call.
+    number basis, so only one mixing matvec is needed per call: they are
+    read off the row marginal of the joint distribution.
     """
-    p = np.abs(_mixed_amps(state_a.amps, state_b.amps, params)) ** 2
-    return _weighted_g2(p, _occupations(state_a.dim, state_b.dim)[0])
+    amps = _mixed_amps(state_a.amps, state_b.amps, params).reshape(state_a.dim, state_b.dim)
+    return _weighted_g2((np.abs(amps) ** 2).sum(axis=1))
 
 
 def output_g2_b(
     state_a: FockVector, state_b: FockVector, params: BeamsplitterParams
 ) -> tuple[float, float]:
-    """(g2, n_mean) of the complementary output mode B."""
-    p = np.abs(_mixed_amps(state_a.amps, state_b.amps, params)) ** 2
-    return _weighted_g2(p, _occupations(state_a.dim, state_b.dim)[1])
+    """(g2, n_mean) of the complementary output mode B, from the column marginal."""
+    amps = _mixed_amps(state_a.amps, state_b.amps, params).reshape(state_a.dim, state_b.dim)
+    return _weighted_g2((np.abs(amps) ** 2).sum(axis=0))
 
 
 def g2_from_coeffs(coeffs) -> float:
@@ -187,7 +180,7 @@ def g2_from_coeffs(coeffs) -> float:
     total = p.sum()
     if total == 0.0:
         raise VacuumOutputError("all-zero amplitude list; g2 undefined")
-    return _weighted_g2(p / total, np.arange(p.size, dtype=float))[0]
+    return _weighted_g2(p / total)[0]
 
 
 def _ladder_moments(amps: np.ndarray) -> np.ndarray:
@@ -295,21 +288,3 @@ def _scalar_g2(ma: np.ndarray, mb: np.ndarray, R, phi) -> tuple[float, float]:
     if not n_mean >= INTENSITY_FLOOR:
         raise VacuumOutputError(f"output intensity below floor {INTENSITY_FLOOR:g}; g2 undefined")
     return num / (n_mean * n_mean), n_mean
-
-
-def heisenberg_residual(params: BeamsplitterParams, dim_a: int, dim_b: int) -> float:
-    """Max deviation of U+ a U and U+ b U from the defining mode map.
-
-    Restricted to joint sectors whose total photon number is complete under
-    the truncation (N <= min(dim)-2), where the truncated rotation is exact.
-    """
-    u = bs_unitary(params, dim_a, dim_b)
-    a2 = lift_a(annihilation(dim_a), dim_b)
-    b2 = lift_b(annihilation(dim_b), dim_a)
-    phase = np.exp(1j * params.phase_rad)
-    sqrt_t, sqrt_r = math.sqrt(params.T), math.sqrt(params.R)
-    res_a = u.conj().T @ a2 @ u - (sqrt_t * a2 + sqrt_r * phase * b2)
-    res_b = u.conj().T @ b2 @ u - (-sqrt_r * a2 + sqrt_t * phase * b2)
-    keep = sum(_occupations(dim_a, dim_b)) <= min(dim_a, dim_b) - 2
-    block = np.ix_(keep, keep)
-    return max(np.max(np.abs(res_a[block])), np.max(np.abs(res_b[block])))

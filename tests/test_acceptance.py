@@ -16,8 +16,8 @@ import pytest
 from antibunch import analytic, fock, states
 from antibunch.beamsplitter import (
     BeamsplitterParams,
+    _mode_map_residual,
     g2_from_coeffs,
-    heisenberg_residual,
     mix,
     output_g2,
 )
@@ -94,10 +94,6 @@ def test_01_g2_formula_equivalence():
 def test_02_beamsplitter_contract():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2)
-    resid = max(
-        heisenberg_residual(BeamsplitterParams(r, phi), 10, 10)
-        for r, phi in [(0.5, 0.0), (0.37, 0.31), (0.82, 1.43)]
-    )
     n_a_op = fock.lift_a(fock.number(8), 8)
     n_b_op = fock.lift_b(fock.number(8), 8)
     drift = 0.0
@@ -108,6 +104,18 @@ def test_02_beamsplitter_contract():
         joint = mix(psi_a, psi_b, params)
         n_out = fock.expectation(joint, n_a_op) + fock.expectation(joint, n_b_op)
         drift = max(drift, abs(n_out - (psi_a.mean_n() + psi_b.mean_n())))
+
+    def low_levels(dim, levels):
+        amps = np.zeros(dim, dtype=complex)
+        amps[:levels] = rng.standard_normal(levels) + 1j * rng.standard_normal(levels)
+        return FockVector(amps).normalize()
+
+    # On mix itself, with inputs whose sectors all fit (4 + 3 - 1 <= min(dims)).
+    resid = max(
+        _mode_map_residual(low_levels(dims[0], 4), low_levels(dims[1], 3),
+                           BeamsplitterParams(r, phi))
+        for r, phi, dims in [(0.5, 0.0, (10, 10)), (0.37, 0.31, (7, 12)), (0.82, 1.43, (12, 6))]
+    )
     hom = abs(mix(fock.basis(4, 1), fock.basis(4, 1), BeamsplitterParams(0.5)).as_matrix()[1, 1]) ** 2
     elapsed = time.perf_counter() - t0
     report(

@@ -1,4 +1,4 @@
-"""Beamsplitter mixing: unitarity, conservation laws, and g2 extraction."""
+"""Beamsplitter mixing: the mode map, conservation laws, and g2 extraction."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import eigh_tridiagonal, expm
 
-from antibunch import fock, states
+from antibunch import beamsplitter, fock, states
 from antibunch.beamsplitter import (
     BeamsplitterParams,
     _ladder_moments,
+    _mode_map_residual,
     _sectors,
-    bs_unitary,
     g2_from_coeffs,
-    heisenberg_residual,
     mix,
     output_g2,
     output_g2_b,
@@ -45,19 +44,6 @@ class TestParams:
             BeamsplitterParams(bad_r)
 
 
-class TestUnitary:
-    def test_unitarity(self):
-        u = bs_unitary(BeamsplitterParams(0.37, 0.61), 6, 6)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(36))) < 1e-12
-
-    def test_conserves_total_photon_number(self):
-        # the generator commutes with N_a + N_b, so conservation is exact
-        # even in a truncated space
-        u = bs_unitary(BeamsplitterParams(0.25, 1.3), 5, 7)
-        n_tot = fock.lift_a(fock.number(5), 7) + fock.lift_b(fock.number(7), 5)
-        assert np.max(np.abs(u.conj().T @ n_tot @ u - n_tot)) < 1e-11
-
-
 def dense_mix(amps_a, amps_b, params):
     """Reference mixer: expm of the dense truncated joint generator."""
     a = fock.annihilation(amps_a.size)
@@ -72,14 +58,21 @@ unequal_dims = st.tuples(st.integers(2, 10), st.integers(2, 10)).filter(lambda d
 splitters = st.builds(
     BeamsplitterParams, st.floats(0.0, 1.0), st.floats(0.0, 2.0, exclude_max=True)
 )
+mode_map_splitters = st.builds(
+    BeamsplitterParams, st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+    st.floats(0.0, 2.0, exclude_max=True),
+)
 
 
 @st.composite
-def random_states(draw, dim):
-    parts = draw(hnp.arrays(float, (2, dim), elements=st.floats(-1.0, 1.0)))
-    amps = parts[0] + 1j * parts[1]
+def random_states(draw, dim, levels=None):
+    """A random state on the lowest `levels` of dim levels (all of them by default)."""
+    levels = levels or dim
+    parts = draw(hnp.arrays(float, (2, levels), elements=st.floats(-1.0, 1.0)))
+    amps = np.zeros(dim, dtype=complex)
+    amps[:levels] = parts[0] + 1j * parts[1]
     norm = np.linalg.norm(amps)
-    return FockVector(amps / norm if norm > 1e-3 else np.eye(dim)[1])
+    return FockVector(amps / norm if norm > 1e-3 else np.eye(dim)[min(1, levels - 1)])
 
 
 class TestSectorMixing:
@@ -93,14 +86,37 @@ class TestSectorMixing:
         reference = dense_mix(psi_a.amps, psi_b.amps, params)
         assert np.max(np.abs(joint.amps - reference)) < 1e-12
 
-    @settings(max_examples=30, deadline=None)
-    @given(dims=unequal_dims, params=splitters)
-    def test_unitary_is_unitary_and_sector_diagonal(self, dims, params):
-        u = bs_unitary(params, *dims)
-        size = dims[0] * dims[1]
-        assert np.max(np.abs(u.conj().T @ u - np.eye(size))) < 1e-12
-        n_tot = np.add.outer(np.arange(dims[0]), np.arange(dims[1])).ravel()
-        assert not np.any(u[n_tot[:, np.newaxis] != n_tot[np.newaxis, :]])
+    @settings(max_examples=60, deadline=None)
+    @given(dims=unequal_dims, params=mode_map_splitters, data=st.data())
+    def test_mix_obeys_the_mode_map(self, dims, params, data):
+        # a mix(psi_a, psi_b) = sqrt(T) mix(a psi_a, psi_b) + sqrt(R) e^{i phi pi}
+        # mix(psi_a, b psi_b), and likewise for b, wherever every sector the
+        # inputs fill fits: inputs on k_a and k_b levels with k_a + k_b - 1 <= min(dims).
+        # R in (0, 1e-6) is left to test_mode_map_at_tiny_reflectance.
+        k_a = data.draw(st.integers(1, min(dims)))
+        k_b = data.draw(st.integers(1, min(dims) + 1 - k_a))
+        psi_a = data.draw(random_states(dims[0], k_a))
+        psi_b = data.draw(random_states(dims[1], k_b))
+        assert _mode_map_residual(psi_a, psi_b, params) < 1e-12
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "mix rotates by theta = arccos(sqrt(T)), T = 1 - R, which loses R to the rounding of "
+        "T below R ~ 1e-7: the residual is 1.3e-12 at R = 1e-9, 7.1e-9 at 5e-17 and 1e-10 at "
+        "1e-20, where theta = 0 and nothing is reflected. theta = atan2(sqrt(R), sqrt(T)) is "
+        "accurate for every R but moves mix's bits at a third of all R (ROADMAP item 7)."))
+    def test_mode_map_at_tiny_reflectance(self):
+        psi_a, psi_b = fock.basis(4, 0), fock.basis(4, 1)
+        assert _mode_map_residual(psi_a, psi_b, BeamsplitterParams(5e-17)) < 1e-12
+
+    def test_mode_map_residual_sees_a_wrong_phase(self, monkeypatch):
+        # mix with phi negated breaks the map, and the residual says so.
+        rng = np.random.default_rng(4)
+        psi_a, psi_b = random_state(rng, 9, support=3), random_state(rng, 7, support=3)
+        params = BeamsplitterParams(0.37, 0.31)
+        assert _mode_map_residual(psi_a, psi_b, params) < 1e-12
+        mirrored = lambda a, b, p: mix(a, b, BeamsplitterParams(p.R, -p.phi))  # noqa: E731
+        monkeypatch.setattr(beamsplitter, "mix", mirrored)
+        assert _mode_map_residual(psi_a, psi_b, params) > 0.1
 
 
 def sectors_one_by_one(dim_a, dim_b):
@@ -143,10 +159,6 @@ class TestConservation:
             n_in = psi_a.mean_n() + psi_b.mean_n()
             n_out = fock.expectation(joint, n_a_op) + fock.expectation(joint, n_b_op)
             assert abs(n_out - n_in) < 1e-9
-
-    def test_heisenberg_mode_map(self):
-        for r, phi in [(0.5, 0.0), (0.37, 0.31), (0.9, 1.6)]:
-            assert heisenberg_residual(BeamsplitterParams(r, phi), 10, 10) < 1e-9
 
     def test_hom_coincidence_vanishes(self):
         joint = mix(fock.basis(4, 1), fock.basis(4, 1), BeamsplitterParams(0.5))

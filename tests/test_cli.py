@@ -321,6 +321,37 @@ class TestRefusedValues:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not list(tmp_path.glob(f"{name}.*"))
 
+    @pytest.mark.parametrize("alpha_hi", [4.01, 1e30], ids=["alpha_hi-4.01", "alpha_hi-1e30"])
+    def test_fig6_coherent_truncation_above_limit(self, tmp_path, capsys, monkeypatch, alpha_hi):
+        # With dim_b None fig6's coherent arm picks default_dim(alpha) per
+        # cell (up to 201 and 8.00e+60 here); the largest is bounded before
+        # any state is built.
+        def unbuilt(*args):
+            raise AssertionError("a state was built")
+
+        monkeypatch.setattr(states, "coherent", unbuilt)
+        cfg = write_config(tmp_path, {"alpha_hi": alpha_hi})
+        assert cli.main(["figure", "fig6", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: truncation of fig6's coherent arm ")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.glob("fig6.*"))
+
+    def test_fig6_coherent_truncation_at_limit_runs(self, tmp_path):
+        # fig6's default alpha_hi = 4 picks dim 8 (1 + 4)^2 = 200, the limit itself.
+        cfg = write_config(tmp_path, {"r_count": 2, "alpha_count": 3})
+        assert cli.main(["figure", "fig6", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "fig6.csv").exists()
+
+    def test_figure_too_large_to_allocate(self, tmp_path, capsys):
+        # fig2's 10^7 x 10^7 grid asks numpy for 728 TiB at once, beyond the
+        # 128 TiB user address space of x86-64: a MemoryError, not a traceback.
+        cfg = write_config(tmp_path, {"grid": 10_000_000})
+        assert cli.main(["figure", "fig2", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("fig2.*"))
+
     @pytest.mark.parametrize("dim", ["0", "1"])
     def test_selftest_dim(self, capsys, dim):
         assert cli.main(["selftest", "--dim", dim]) == 3

@@ -7,7 +7,7 @@ The Heisenberg map is fixed to
 
 with phi expressed in units of pi throughout.  mix realizes the Schroedinger
 unitary as a number-operator phase rotation on mode b followed by the real
-rotation exp(theta (a^dag b - a b^dag)), theta = arccos(sqrt(T)).
+rotation exp(theta (a^dag b - a b^dag)), theta = atan2(sqrt(R), sqrt(T)).
 
 The rotation conserves the total photon number N = n_a + n_b, so it is
 block-diagonal over photon-number sectors (Campos, Saleh & Teich, PRA 40,
@@ -105,7 +105,7 @@ def _mixed_amps(amps_a: np.ndarray, amps_b: np.ndarray, params: BeamsplitterPara
     psi[:-1] = np.kron(amps_a, amps_b * np.exp(1j * params.phase_rad * np.arange(dim_b)))
     # Row-vector form of vecs diag(exp(-i theta lambda)) vecs^dag psi, one row per sector.
     coeffs = np.conj(np.conj(psi[sectors.index])[:, np.newaxis, :] @ sectors.vecs)
-    theta = math.acos(min(1.0, math.sqrt(params.T)))
+    theta = math.atan2(math.sqrt(params.R), math.sqrt(params.T))
     coeffs *= np.exp(-1j * theta * sectors.evals)[:, np.newaxis, :]
     out = np.empty_like(psi)
     out[sectors.index] = (coeffs @ sectors.vecs.swapaxes(1, 2))[:, 0, :]

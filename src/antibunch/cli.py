@@ -267,18 +267,21 @@ def _selftest_checks(dim_override: int | None):
         resid = np.max(np.abs(comm[: dim - 1, : dim - 1] - np.eye(dim - 1)))
         return resid < 1e-10, f"commutator residual {resid:.2e}"
 
-    def check_displacement_unitary():
-        alpha = 1.0
-        dim = dim_override or fock.default_dim(alpha)
-        u = fock.displacement(alpha, dim)
-        resid = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
-        return resid < 1e-8, f"unitarity residual {resid:.2e} at dim {dim}"
+    def wick_error(psi, alpha, xi):
+        """psi's <a>, <a^dag a>, <a^2> against the Wick closed forms of D(alpha) S(xi)|0>."""
+        a, r, phase = fock.annihilation(psi.dim), abs(xi), np.exp(1j * np.angle(xi))
+        got = [fock.expectation(psi, op) for op in (a, a.conj().T @ a, a @ a)]
+        wick = [alpha, abs(alpha)**2 + np.sinh(r)**2, alpha**2 - phase * np.sinh(r) * np.cosh(r)]
+        err = max(abs(g - w) for g, w in zip(got, wick))
+        return err < 1e-8, f"Wick moment error {err:.2e} at dim {psi.dim}"
 
-    def check_squeeze_unitary():
-        dim = dim_override or 32
-        u = fock.squeeze(0.5, dim)
-        resid = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
-        return resid < 1e-8, f"unitarity residual {resid:.2e} at dim {dim}"
+    def check_squeezed_vacuum_moments():
+        return wick_error(states.squeezed_vacuum(0.5, dim_override or 40), 0.0, 0.5)
+
+    def check_squeezed_coherent_moments():
+        alpha, xi = 1.0, 0.3j
+        dim = dim_override or fock.default_dim(alpha)
+        return wick_error(states.squeezed_coherent(alpha, xi, dim), alpha, xi)
 
     def check_normalize_idempotent():
         raw = rng.normal(size=12) + 1j * rng.normal(size=12)
@@ -369,8 +372,8 @@ def _selftest_checks(dim_override: int | None):
 
     return [
         ("ladder_commutator", check_ladder),
-        ("displacement_unitarity", check_displacement_unitary),
-        ("squeeze_unitarity", check_squeeze_unitary),
+        ("squeezed_vacuum_moments", check_squeezed_vacuum_moments),
+        ("squeezed_coherent_moments", check_squeezed_coherent_moments),
         ("normalize_idempotent", check_normalize_idempotent),
         ("coeff_vs_operator_g2", check_coeff_vs_operator),
         ("hom_coincidence", check_hom),
@@ -416,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_g2: "truncation of every state in the config, replacing each spec's dim",
         p_fig: "the figure's one truncation parameter: dim (fig2-fig5), dim_a "
         "(fig6's squeezed arm; dim_b is kept) or dim_single (fig7; dims_coupled is kept)",
-        p_self: "truncation of the ladder, displacement and squeeze checks",
+        p_self: "truncation of the ladder and the two squeezed-state moment checks",
     }
     # Each subcommand takes only the options it reads; argparse refuses the rest.
     for p in (p_g2, p_fig):

@@ -1,9 +1,10 @@
-"""Truncated Fock-space primitives: states, ladder operators, Gaussian unitaries.
+"""Truncated Fock-space primitives: states, ladder operators, truncation rules.
 
 All objects live in a photon-number basis truncated at ``dim`` levels
 (occupations 0 .. dim-1).  Operators are plain complex numpy arrays; state
 containers are immutable.  Two-mode amplitudes are stored flat, row-major
-over mode a: index = n_a * dim_b + n_b (the np.kron convention).
+over mode a: index = n_a * dim_b + n_b (the np.kron convention).  The
+truncation rules default_dim, amplitude_dim and squeeze_dim guard antibunch.states.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     DimensionMismatchError,
@@ -182,7 +182,7 @@ def amplitude_dim(alpha: complex, dim: int | None = None) -> int:
 
 
 def squeeze_dim(xi: complex) -> int:
-    """Smallest truncation squeeze() accepts for S(xi): ceil(20(1+|xi|)).
+    """Smallest truncation the squeezed states accept for S(xi): ceil(20(1+|xi|)).
 
     A squeeze whose truncation overflows a float is refused with a ValueError.
     """
@@ -190,34 +190,6 @@ def squeeze_dim(xi: complex) -> int:
         return math.ceil(20.0 * (1.0 + abs(xi)))
     except OverflowError:
         raise ValueError(f"squeeze {xi} has no finite truncation") from None
-
-
-def displacement(alpha: complex, dim: int) -> np.ndarray:
-    """Displacement D(alpha) = exp(alpha a^dag - conj(alpha) a).
-
-    The generator is exponentiated after truncation (scaling-and-squaring
-    Pade via scipy), so the matrix is exactly unitary; accuracy against the
-    untruncated operator requires |alpha|^2 <= dim/4.
-    """
-    if dim < 2:
-        raise InvalidDimensionError(f"displacement needs dim >= 2, got {dim}")
-    a = annihilation(amplitude_dim(alpha, dim))
-    return expm(alpha * a.conj().T - np.conjugate(alpha) * a)
-
-
-def squeeze(xi: complex, dim: int) -> np.ndarray:
-    """Squeeze S(xi) = exp((conj(xi) a^2 - xi a^dag^2) / 2), xi = r e^{i omega}."""
-    if dim < 2:
-        raise InvalidDimensionError(f"squeeze needs dim >= 2, got {dim}")
-    r = abs(xi)
-    if r > 1.5:
-        raise ValueError(f"squeeze magnitude {r:.4g} outside supported range |xi| <= 1.5")
-    if dim < squeeze_dim(xi):
-        raise TruncationError(
-            f"squeeze |xi|={r:.4g} unsafe at dim={dim}", recommended_dim=squeeze_dim(xi)
-        )
-    a = annihilation(dim)
-    return expm(0.5 * (np.conjugate(xi) * (a @ a) - xi * (a.conj().T @ a.conj().T)))
 
 
 def lift_a(op: np.ndarray, dim_b: int) -> np.ndarray:

@@ -8,18 +8,19 @@ Amplitude conventions:
 * Kerr-evolved:        coherent with c_n multiplied by e^{-i chi_t (n^2 - n)}
 * two-photon doublet:  (sqrt(1 - c2^2), 0, c2, 0, ...)
 * cat:                 N (|alpha> + parity |-alpha>), exact N
-* squeezed coherent:   D(alpha) S(xi) |0>   (displacement applied last)
+* squeezed coherent:   D(alpha) S(xi) |0>, from its three-term amplitude recursion
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError
-from .fock import FockVector, basis, displacement, squeeze
+from .errors import InvalidDimensionError, TruncationError
+from .fock import FockVector, amplitude_dim, squeeze_dim
 
 
 @dataclass(frozen=True)
@@ -97,15 +98,38 @@ def cat_state(params: CatParams, dim: int) -> FockVector:
     norm_sq = 2.0 * (1.0 + p * overlap)
     if norm_sq <= 0.0 or (p == -1 and alpha == 0):
         raise ValueError("odd cat is unnormalizable at alpha_sch = 0")
-    amps = (_coherent_amps(alpha, dim) + p * _coherent_amps(-alpha, dim)) / math.sqrt(norm_sq)
-    return FockVector(amps)
+    # _coherent_amps(-alpha) is (-1)^n _coherent_amps(alpha): the parity's branch doubles.
+    keep = np.arange(dim) % 2 == (1 - p) // 2
+    return FockVector(np.where(keep, 2.0 * _coherent_amps(alpha, dim), 0.0) / math.sqrt(norm_sq))
 
 
 def squeezed_vacuum(xi: complex, dim: int) -> FockVector:
-    """S(xi)|0>."""
-    return FockVector(squeeze(xi, dim) @ basis(dim, 0).amps)
+    """S(xi)|0>: squeezed_coherent at alpha = 0."""
+    return squeezed_coherent(0.0, xi, dim)
 
 
 def squeezed_coherent(alpha: complex, xi: complex, dim: int) -> FockVector:
-    """Displaced squeezed vacuum D(alpha) S(xi) |0> (order is binding)."""
-    return FockVector(displacement(alpha, dim) @ (squeeze(xi, dim) @ basis(dim, 0).amps))
+    """Displaced squeezed vacuum D(alpha) S(xi) |0> (order is binding), xi = r e^{i omega}.
+
+    With mu = cosh r, nu = e^{i omega} sinh r and gamma = mu alpha + nu conj(alpha),
+    (mu a + nu a^dag) psi = gamma psi gives c_{n+1} = (gamma c_n - nu sqrt(n) c_{n-1})
+    / (mu sqrt(n+1)) (Gerry & Knight, Introductory Quantum Optics, ch. 7).  c_0 takes
+    only the phase of <0|D(alpha) S(xi)|0> = exp(-|alpha|^2/2 - conj(alpha)^2 e^{i omega}
+    tanh(r)/2) / sqrt(cosh r), so no large |alpha| overflows it; the truncated vector
+    is normalized.  Refused in order: fock.amplitude_dim, |xi| > 1.5, fock.squeeze_dim.
+    """
+    if dim < 2:
+        raise InvalidDimensionError(f"squeezed states need dim >= 2, got {dim}")
+    amplitude_dim(alpha, dim)
+    r = abs(xi)
+    if r > 1.5:
+        raise ValueError(f"squeeze magnitude {r:.4g} outside supported range |xi| <= 1.5")
+    if dim < squeeze_dim(xi):
+        raise TruncationError(f"squeeze |xi|={r:.4g} unsafe at dim={dim}",
+                              recommended_dim=squeeze_dim(xi))
+    mu, nu = math.cosh(r), cmath.rect(math.sinh(r), cmath.phase(xi))
+    gamma = mu * alpha + nu * alpha.conjugate()
+    amps = [0j, cmath.exp(-0.5j * (alpha.conjugate() ** 2 * nu / mu).imag)]  # c_{-1}, c_0
+    for n in range(dim - 1):
+        amps.append((gamma * amps[-1] - nu * math.sqrt(n) * amps[-2]) / (mu * math.sqrt(n + 1)))
+    return FockVector(np.array(amps[1:])).normalize()

@@ -49,7 +49,7 @@ def dense_mix(amps_a, amps_b, params):
     a = fock.annihilation(amps_a.size)
     b = fock.annihilation(amps_b.size)
     generator = np.kron(a.conj().T, b) - np.kron(a, b.conj().T)
-    theta = np.arccos(np.sqrt(params.T))
+    theta = np.arctan2(np.sqrt(params.R), np.sqrt(params.T))
     phase_b = np.exp(1j * params.phase_rad * np.arange(amps_b.size))
     return expm(theta * generator) @ np.kron(amps_a, amps_b * phase_b)
 
@@ -57,10 +57,6 @@ def dense_mix(amps_a, amps_b, params):
 unequal_dims = st.tuples(st.integers(2, 10), st.integers(2, 10)).filter(lambda d: d[0] != d[1])
 splitters = st.builds(
     BeamsplitterParams, st.floats(0.0, 1.0), st.floats(0.0, 2.0, exclude_max=True)
-)
-mode_map_splitters = st.builds(
-    BeamsplitterParams, st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
-    st.floats(0.0, 2.0, exclude_max=True),
 )
 
 
@@ -87,26 +83,16 @@ class TestSectorMixing:
         assert np.max(np.abs(joint.amps - reference)) < 1e-12
 
     @settings(max_examples=60, deadline=None)
-    @given(dims=unequal_dims, params=mode_map_splitters, data=st.data())
+    @given(dims=unequal_dims, params=splitters, data=st.data())
     def test_mix_obeys_the_mode_map(self, dims, params, data):
         # a mix(psi_a, psi_b) = sqrt(T) mix(a psi_a, psi_b) + sqrt(R) e^{i phi pi}
         # mix(psi_a, b psi_b), and likewise for b, wherever every sector the
         # inputs fill fits: inputs on k_a and k_b levels with k_a + k_b - 1 <= min(dims).
-        # R in (0, 1e-6) is left to test_mode_map_at_tiny_reflectance.
         k_a = data.draw(st.integers(1, min(dims)))
         k_b = data.draw(st.integers(1, min(dims) + 1 - k_a))
         psi_a = data.draw(random_states(dims[0], k_a))
         psi_b = data.draw(random_states(dims[1], k_b))
         assert _mode_map_residual(psi_a, psi_b, params) < 1e-12
-
-    @pytest.mark.xfail(strict=True, reason=(
-        "mix rotates by theta = arccos(sqrt(T)), T = 1 - R, which loses R to the rounding of "
-        "T below R ~ 1e-7: the residual is 1.3e-12 at R = 1e-9, 7.1e-9 at 5e-17 and 1e-10 at "
-        "1e-20, where theta = 0 and nothing is reflected. theta = atan2(sqrt(R), sqrt(T)) is "
-        "accurate for every R but moves mix's bits at a third of all R (ROADMAP item 7)."))
-    def test_mode_map_at_tiny_reflectance(self):
-        psi_a, psi_b = fock.basis(4, 0), fock.basis(4, 1)
-        assert _mode_map_residual(psi_a, psi_b, BeamsplitterParams(5e-17)) < 1e-12
 
     def test_mode_map_residual_sees_a_wrong_phase(self, monkeypatch):
         # mix with phi negated breaks the map, and the residual says so.

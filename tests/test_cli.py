@@ -66,7 +66,7 @@ class TestBuildState:
         ids=["coherent", "phase_modified", "kerr_coherent", "cat"],
     )
     def test_amplitude_truncation_rule(self, spec):
-        # fock.displacement's rule |alpha|^2 <= dim/4: alpha = 1.5 fits dim 9, not 8.
+        # fock.amplitude_dim's rule |alpha|^2 <= dim/4: alpha = 1.5 fits dim 9, not 8.
         assert cli.build_state({**spec, "dim": 9}).dim == 9
         with pytest.raises(TruncationError) as err:
             cli.build_state({**spec, "dim": 8})
@@ -476,7 +476,7 @@ class TestSelftest:
         assert "OK" in out
 
     def test_corrupted_truncation_is_caught(self, capsys):
-        # with every mode forced to 2 levels the displacement/squeeze checks
+        # with every mode forced to 2 levels the squeezed-state moment checks
         # cannot hold; the run must report failures and exit nonzero
         rc = cli.main(["selftest", "--dim", "2"])
         out = capsys.readouterr().out

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from antibunch import fock
+from antibunch import fock, states
 from antibunch.errors import (
     DimensionMismatchError,
     InvalidDimensionError,
@@ -115,40 +115,39 @@ class TestDensityMatrix:
 
 
 class TestGaussianUnitaries:
-    def test_displacement_unitarity(self):
-        u = fock.displacement(0.8 + 0.3j, 24)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(24))) < 1e-12
-
+    # fock's truncation rules for D(alpha) and S(xi), as the states that
+    # apply them (antibunch.states) enforce them.
     def test_displacement_matches_coherent_state(self):
-        from antibunch import states
-
         alpha = 0.7 - 0.2j
-        psi = fock.displacement(alpha, 32) @ fock.basis(32, 0).amps
+        psi = states.squeezed_coherent(alpha, 0.0, 32).amps
         target = states.coherent(alpha, 32).amps
         assert np.max(np.abs(psi - target)) < 1e-10
 
     def test_displacement_truncation_guard(self):
         with pytest.raises(TruncationError) as err:
-            fock.displacement(2.0, 8)
+            states.squeezed_coherent(2.0, 0.0, 8)
         assert err.value.recommended_dim >= 8
-
-    def test_squeeze_unitarity(self):
-        u = fock.squeeze(0.4j, 40)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(40))) < 1e-10
 
     def test_squeeze_range_and_truncation(self):
         with pytest.raises(ValueError):
-            fock.squeeze(2.0, 64)
+            states.squeezed_vacuum(2.0, 64)
         with pytest.raises(TruncationError):
-            fock.squeeze(0.5, 16)
+            states.squeezed_vacuum(0.5, 16)
+        # refused in order: the amplitude rule, the squeeze range, squeeze_dim
+        with pytest.raises(TruncationError):
+            states.squeezed_coherent(2.0, 2.0, 8)
+        with pytest.raises(ValueError) as err:
+            states.squeezed_coherent(0.5, 2.0, 8)
+        assert not isinstance(err.value, TruncationError)
 
     @pytest.mark.parametrize("xi", [0.0, 0.05, 0.3j, 0.5 - 0.2j, 1.5])
     def test_squeeze_dim_is_the_guard(self, xi):
         dim = fock.squeeze_dim(xi)
-        fock.squeeze(xi, dim)
-        with pytest.raises(TruncationError) as err:
-            fock.squeeze(xi, dim - 1)
-        assert err.value.recommended_dim == dim
+        for build in (states.squeezed_vacuum, lambda x, d: states.squeezed_coherent(0.5, x, d)):
+            build(xi, dim)
+            with pytest.raises(TruncationError) as err:
+                build(xi, dim - 1)
+            assert err.value.recommended_dim == dim
 
     def test_default_dim(self):
         assert fock.default_dim(0.0) == 16

@@ -1,11 +1,15 @@
 """State constructors: photon statistics and phase structure."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from antibunch import states
+from antibunch import fock, states
 from antibunch.beamsplitter import g2_from_coeffs
 from antibunch.states import CatParams, KerrParams
 
@@ -133,3 +137,34 @@ class TestSqueezedStates:
     def test_squeezed_coherent_reduces_to_coherent(self):
         psi = states.squeezed_coherent(0.4, 0.0, 32)
         assert np.max(np.abs(psi.amps - states.coherent(0.4, 32).amps)) < 1e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(r=st.floats(0.0, 1.5), omega=st.floats(0.0, 2.0 * math.pi),
+           alpha=st.complex_numbers(max_magnitude=2.0))
+    def test_matches_expm_reference_and_wick_moments(self, r, omega, alpha):
+        # Checked at the first dim the truncation rules allow above which less
+        # than 1e-14 of the population lies.  The 200-level reference is itself
+        # converged to 1e-14 only for states that fit in its lowest 100 levels
+        # (r up to about 1 here); broader squeezes are discarded.
+        xi = cmath.rect(r, omega)
+        reference = expm_reference(alpha, xi)
+        tail = np.cumsum(np.abs(reference[::-1]) ** 2)[::-1]
+        floor = max(fock.squeeze_dim(xi), math.ceil(4.0 * abs(alpha) ** 2))
+        fits = np.flatnonzero(tail[floor:101] < 1e-14)
+        assume(fits.size > 0)
+        dim = floor + int(fits[0])
+        psi = states.squeezed_coherent(alpha, xi, dim)
+        assert np.max(np.abs(psi.amps - reference[:dim])) < 1e-12
+        a = fock.annihilation(dim)
+        moments = [fock.expectation(psi, op) for op in (a, a.conj().T @ a, a @ a)]
+        wick = [alpha, abs(alpha) ** 2 + math.sinh(r) ** 2,
+                alpha**2 - cmath.exp(1j * omega) * math.sinh(r) * math.cosh(r)]
+        assert np.max(np.abs(np.subtract(moments, wick))) < 1e-10
+
+
+def expm_reference(alpha, xi, levels=200):
+    """D(alpha) S(xi)|0> from scipy's expm of both generators on `levels` levels."""
+    a = fock.annihilation(levels)
+    ad = a.conj().T
+    squeezed = expm(0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad)))[:, 0]
+    return expm(alpha * ad - np.conj(alpha) * a) @ squeezed

@@ -184,20 +184,23 @@ def g2_from_coeffs(coeffs) -> float:
 
 
 def _ladder_moments(amps: np.ndarray) -> np.ndarray:
-    """3x3 table m[p, q] = <a+^p a^q> on a pure single-mode state.
+    """Tables m[..., p, q] = <a+^p a^q>, p, q < 3, of pure single-mode states amps[..., :].
 
     The truncated lowering operator acts exactly on a truncated state, so
     these moments carry no truncation error beyond the state's own.  a^q c
     is c shifted down by q levels and scaled by sqrt(n+1)...sqrt(n+q), so
-    the table costs O(dim) with no operator matrix.
+    the table costs O(dim) with no operator matrix.  Leading axes are
+    states, each rounded as alone: one row p of products at a time, so the
+    temporaries are (..., 3, dim).
     """
     c = np.asarray(amps, dtype=complex)
-    root = np.sqrt(np.arange(1.0, c.size))
-    shifted = np.zeros((3, c.size), dtype=complex)  # rows c, a c, a^2 c
-    shifted[0] = c
-    shifted[1, :-1] = root * c[1:]  # (a c)[n] = sqrt(n+1) c[n+1]
-    shifted[2, :-2] = root[:-1] * shifted[1, 1:-1]  # (a^2 c)[n] = sqrt(n+1) (a c)[n+1]
-    return (np.conj(shifted)[:, np.newaxis, :] * shifted[np.newaxis, :, :]).sum(axis=-1)
+    root = np.sqrt(np.arange(1.0, c.shape[-1]))
+    shifted = np.zeros(c.shape[:-1] + (3, c.shape[-1]), dtype=complex)  # rows c, a c, a^2 c
+    shifted[..., 0, :] = c
+    shifted[..., 1, :-1] = root * c[..., 1:]  # (a c)[n] = sqrt(n+1) c[n+1]
+    shifted[..., 2, :-2] = root[:-1] * shifted[..., 1, 1:-1]  # (a^2 c)[n] = sqrt(n+1) (a c)[n+1]
+    return np.stack([(np.conj(shifted[..., p, np.newaxis, :]) * shifted).sum(axis=-1)
+                     for p in range(3)], axis=-2)
 
 
 def _times(xr, xi, y):

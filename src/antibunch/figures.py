@@ -6,12 +6,14 @@ builder's own keyword arguments, so they are a valid config for it.  The
 g2 pipelines are registered in the optimizer's objective registry under
 stable names so sweep specs can name them.  Each input arm's moment table
 is built once per distinct argument tuple and cached, so a refinement that
-moves only the splitter, or only one arm, rebuilds nothing else.  Given
-open-grid arrays the objectives evaluate the whole map as one array
-expression, with NaN on dark cells; given scalars they return floats and
-raise VacuumOutputError on a dark output.  Both run the beamsplitter's one
-real-arithmetic moment kernel, so a scalar call returns its map cell bit
-for bit.
+moves only the splitter, or only one arm, rebuilds nothing else.  The
+tables an objective call lacks are built together, one array pass per
+truncation, by the arm's array form in states.  Given open-grid arrays the
+objectives evaluate the whole map as one array expression, with NaN on dark
+cells; given scalars they return floats and raise VacuumOutputError on a
+dark output.  A scalar call is a batch of one, and both run the
+beamsplitter's one real-arithmetic moment kernel, so a scalar call returns
+its map cell bit for bit.
 
 Phases follow the normalized-to-pi convention of the beamsplitter module in
 all inputs and outputs; radians never appear in emitted data.
@@ -23,7 +25,6 @@ import csv
 import gc
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -33,7 +34,6 @@ from .beamsplitter import _ladder_moments, _moment_g2, _scalar_g2
 from .beamsplitter import output_moments  # noqa: F401  (still importable from here)
 from .fock import default_dim, squeeze_dim
 from .optimize import Axis, SweepSpec
-from .states import CatParams, KerrParams
 
 
 @dataclass(frozen=True)
@@ -60,25 +60,75 @@ def _meta(name: str, params: dict, t0: float, extra: dict | None = None) -> dict
 
 # ---------------------------------------------------------------- objectives
 
-@lru_cache(maxsize=256)
+# Input arms.  The array forms of states take 1-D parameter arrays and one
+# truncation and build every cell's amplitudes at once; any other factory,
+# such as the squeezed arm, builds one state per cell.  A cell is the arm's
+# argument tuple, truncation last.
+_coherent, _phase_modified, _kerr, _two_photon, _cat = _ARRAY_FORMS = (
+    states._coherent_rows, states._phase_modified_rows, states._kerr_rows,
+    states._two_photon_rows, states._cat_rows)
+
+
+def _squeezed(r, omega, dim):
+    """Squeezed vacuum with xi = r e^{i omega}."""
+    return states.squeezed_vacuum(r * np.exp(1j * omega), int(dim))
+
+
+def _build(factory, cells: list) -> list:
+    """Read-only moment tables of factory's input states at cells, one array pass per truncation."""
+    tables = {}
+    for dim in dict.fromkeys(cell[-1] for cell in cells):
+        group = [cell for cell in cells if cell[-1] == dim]
+        if factory in _ARRAY_FORMS:
+            amps = factory(*map(np.array, list(zip(*group))[:-1]), int(dim))
+        else:
+            amps = [factory(*cell).amps for cell in group]
+        moments = _ladder_moments(amps)
+        moments.setflags(write=False)
+        tables.update(zip(group, moments))
+    return [tables[cell] for cell in cells]
+
+
+def _table_cache(maxsize: int) -> Callable:
+    """_build behind a cache of at most maxsize tables, the oldest dropped first.
+
+    The cells the cache lacks are built in one _build call before any is
+    stored, so a refused cell stores nothing.  .cache is the cache itself.
+    """
+    cache = {}
+
+    def tables(factory, cells: list) -> list:
+        found = {cell: cache.get((factory, *cell)) for cell in cells}
+        new = [cell for cell, table in found.items() if table is None]
+        if new:
+            found.update(zip(new, _build(factory, new)))
+            cache.update(((factory, *cell), found[cell]) for cell in new)
+            for key in list(cache)[:len(cache) - maxsize]:
+                del cache[key]
+        return [found[cell] for cell in cells]
+
+    tables.cache = cache
+    return tables
+
+
+_cached = _table_cache(256)
+
+
 def _arm(factory, *args) -> np.ndarray:
-    """Read-only moment table of the input state factory(*args), built once per args."""
-    table = _ladder_moments(factory(*args).amps)
-    table.setflags(write=False)
-    return table
+    """Read-only moment table of factory's input state at args: a batch of one."""
+    return _cached(factory, [args])[0]
 
 
 def _tables(factory, *args) -> np.ndarray:
-    """Moment tables of factory(*values), one per cell of the broadcast args: (..., 3, 3).
+    """Moment tables of factory's input states, one per cell of the broadcast args: (..., 3, 3).
 
     Python numbers, as a scalar call passes, get the cached table itself.
     """
     if all(type(a) in (int, float) for a in args):
         return _arm(factory, *args)
     args = np.broadcast_arrays(*args)
-    cells = zip(*(a.ravel().tolist() for a in args))
-    table = np.array([_arm(factory, *cell) for cell in cells], dtype=complex)
-    return table.reshape(args[0].shape + (3, 3))
+    cells = list(zip(*(a.ravel().tolist() for a in args)))
+    return np.array(_cached(factory, cells)).reshape(args[0].shape + (3, 3))
 
 
 def _output(factory_a, args_a, factory_b, args_b, R, phi):
@@ -94,32 +144,10 @@ def _output(factory_a, args_a, factory_b, args_b, R, phi):
     return _moment_g2(*tables, R, phi)
 
 
-# Input-state factories beyond the states module's own: every argument, the
-# truncation included, is part of the cache key of _arm.
-
-def _coherent(alpha, dim):
-    """Coherent arm; dim None takes fock.default_dim(alpha)."""
-    return states.coherent(alpha, int(default_dim(alpha) if dim is None else dim))
-
-
-def _kerr(alpha, chi_t, dim):
-    return states.kerr_coherent(KerrParams(alpha=alpha, chi_t=chi_t), dim)
-
-
-def _cat(alpha_sch, parity, dim):
-    return states.cat_state(CatParams(alpha_sch=alpha_sch, parity=int(parity)), dim)
-
-
-def _squeezed(r, omega, dim):
-    """Squeezed vacuum with xi = r e^{i omega}; dim None takes max(24, squeeze_dim(r))."""
-    dim = max(24, squeeze_dim(r)) if dim is None else dim
-    return states.squeezed_vacuum(r * np.exp(1j * omega), int(dim))
-
-
 def phase_modified_mix(R, phi, alpha=0.3, dim=16):
     """g2 of output A: coherent state with rotated two-photon amplitude vs coherent."""
     dim = int(dim)
-    return _output(states.phase_modified_coherent, (alpha, dim), _coherent, (alpha, dim), R, phi)
+    return _output(_phase_modified, (alpha, dim), _coherent, (alpha, dim), R, phi)
 
 
 def kerr_mix(R, phi, alpha=0.3, chi_t=0.05, dim=16):
@@ -131,7 +159,7 @@ def kerr_mix(R, phi, alpha=0.3, chi_t=0.05, dim=16):
 def two_photon_mix(alpha, c2, R=0.5, phi=0.5, dim=16):
     """g2 of output A: vacuum+two-photon superposition vs coherent."""
     dim = int(dim)
-    return _output(states.vacuum_two_photon, (c2, dim), _coherent, (alpha, dim), R, phi)
+    return _output(_two_photon, (c2, dim), _coherent, (alpha, dim), R, phi)
 
 
 def cat_mix(alpha_sch, alpha, parity=1, R=0.5, phi=0.5, dim=16):
@@ -143,8 +171,14 @@ def cat_mix(alpha_sch, alpha, parity=1, R=0.5, phi=0.5, dim=16):
 def squeezed_mix(r=0.05, alpha=0.5, phi=1.0, R=0.1, omega=0.0, dim_a=None, dim_b=None):
     """g2 of output A: squeezed vacuum (xi = r e^{i omega}) vs coherent.
 
-    omega is in radians (an internal state parameter, not an I/O phase).
+    omega is in radians (an internal state parameter, not an I/O phase).  dim_a
+    None takes max(24, squeeze_dim(r)), and dim_b None fock.default_dim(alpha),
+    per cell.
     """
+    if dim_a is None:
+        dim_a = np.frompyfunc(lambda r: max(24, squeeze_dim(r)), 1, 1)(r)
+    if dim_b is None:
+        dim_b = np.frompyfunc(default_dim, 1, 1)(alpha)
     return _output(_squeezed, (r, omega, dim_a), _coherent, (alpha, dim_b), R, phi)
 
 

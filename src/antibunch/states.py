@@ -9,6 +9,12 @@ Amplitude conventions:
 * two-photon doublet:  (sqrt(1 - c2^2), 0, c2, 0, ...)
 * cat:                 N (|alpha> + parity |-alpha>), exact N
 * squeezed coherent:   D(alpha) S(xi) |0>, from its three-term amplitude recursion
+
+Every kind but the squeezed states has a private array form (_coherent_rows
+and its siblings): it takes 1-D parameter arrays and one truncation, returns
+the (cells, dim) amplitudes of every cell and refuses as the factory does.
+The factory is its one-cell case, so a state built alone and the same cell
+of a batch agree bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimensionError, TruncationError
-from .fock import FockVector, amplitude_dim, squeeze_dim
+from .fock import _NORM_SLACK, FockVector, amplitude_dim, squeeze_dim
 
 
 @dataclass(frozen=True)
@@ -43,48 +49,101 @@ class CatParams:
             raise ValueError(f"parity must be +1 or -1, got {self.parity}")
 
 
-def _coherent_amps(alpha: complex, dim: int) -> np.ndarray:
-    # c_n = c_{n-1} * alpha / sqrt(n); stable for every amplitude this
-    # package is meant for (|alpha| of order unity).
-    amps = np.empty(dim, dtype=complex)
-    amps[0] = 1.0
-    for n in range(1, dim):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    amps *= math.exp(-0.5 * abs(alpha) ** 2)
+def _coherent_terms(alpha: np.ndarray, dim: int) -> np.ndarray:
+    """(cells, dim) amplitudes alpha^n e^{-|alpha|^2/2} / sqrt(n!), before renormalization.
+
+    The recursion c_n = c_{n-1} * alpha / sqrt(n) is stable for every amplitude
+    this package is meant for (|alpha| of order unity).  numpy divides a complex
+    number by a real one as a product with the rounded reciprocal, so one
+    cumulative product over 1, alpha, 1/sqrt(1), alpha, 1/sqrt(2), ... rounds
+    each step as the recursion does, for every cell at once.
+    """
+    if dim < 2:
+        raise InvalidDimensionError(f"single-mode states need dim >= 2, got {dim}")
+    steps = np.empty((alpha.size, 2 * dim - 1), dtype=complex)
+    steps[:, 0] = 1.0
+    steps[:, 1::2] = alpha[:, np.newaxis]
+    steps[:, 2::2] = 1.0 / np.sqrt(np.arange(1.0, dim))
+    scale = np.array([math.exp(-0.5 * abs(a) ** 2) for a in alpha.tolist()])
+    return np.cumprod(steps, axis=1)[:, ::2] * scale[:, np.newaxis]
+
+
+def _normalized(amps: np.ndarray) -> np.ndarray:
+    """Each row over its norm; a row within FockVector.normalize's slack of 1 is kept as is."""
+    norm = np.sqrt(np.add.reduce((amps.conj() * amps).real, axis=1))
+    off = abs(norm - 1.0) >= _NORM_SLACK
+    if off.any():
+        if not norm.all():
+            raise ValueError("cannot normalize the zero vector")
+        amps[off] /= norm[off, np.newaxis]
     return amps
+
+
+def _coherent_rows(alpha: np.ndarray, dim: int) -> np.ndarray:
+    return _normalized(_coherent_terms(alpha, dim))
+
+
+def _phase_modified_rows(alpha: np.ndarray, dim: int) -> np.ndarray:
+    if dim < 3:
+        raise InvalidDimensionError("phase-modified state needs dim >= 3")
+    amps = _coherent_terms(alpha, dim)
+    amps[:, 2] *= 1j
+    return _normalized(amps)
+
+
+def _kerr_rows(alpha: np.ndarray, chi_t: np.ndarray, dim: int) -> np.ndarray:
+    n = np.arange(dim)
+    phase = np.exp(-1j * chi_t[:, np.newaxis] * (n * n - n))
+    return _normalized(_coherent_terms(alpha, dim) * phase)
+
+
+def _two_photon_rows(c2: np.ndarray, dim: int) -> np.ndarray:
+    outside = c2[~((0.0 <= c2) & (c2 <= 1.0))]
+    if outside.size:
+        raise ValueError(f"c2 must lie in [0, 1], got {outside[0]}")
+    if dim < 3:
+        raise InvalidDimensionError("vacuum/two-photon superposition needs dim >= 3")
+    amps = np.zeros((c2.size, dim), dtype=complex)
+    amps[:, 0] = np.sqrt(1.0 - c2 * c2)
+    amps[:, 2] = c2
+    return amps
+
+
+def _cat_rows(alpha_sch: np.ndarray, parity: np.ndarray, dim: int) -> np.ndarray:
+    # The odd norm 2 (1 - e^{-2|alpha|^2}) cancels as alpha_sch -> 0, so it is
+    # formed by expm1; the even one, 2 (1 + e^{-2|alpha|^2}), cannot cancel.
+    wrong = parity[(parity != 1) & (parity != -1)]
+    if wrong.size:
+        raise ValueError(f"parity must be +1 or -1, got {wrong[0]}")
+    norm_sq = np.array([2.0 * (1.0 + math.exp(-2.0 * abs(a) ** 2)) if p == 1
+                        else -2.0 * math.expm1(-2.0 * abs(a) ** 2)
+                        for a, p in zip(alpha_sch.tolist(), parity.tolist())])
+    if (norm_sq <= 0.0).any():
+        raise ValueError("odd cat is unnormalizable at alpha_sch = 0")
+    # The coherent terms of -alpha are (-1)^n those of alpha: the parity's branch doubles.
+    keep = np.arange(dim) % 2 == (1 - parity[:, np.newaxis]) // 2
+    terms = np.where(keep, 2.0 * _coherent_terms(alpha_sch, dim), 0.0)
+    return terms / np.sqrt(norm_sq)[:, np.newaxis]
 
 
 def coherent(alpha: complex, dim: int) -> FockVector:
     """Truncated coherent state, renormalized after truncation."""
-    return FockVector(_coherent_amps(alpha, dim)).normalize()
+    return FockVector(_coherent_rows(np.array([alpha]), dim)[0])
 
 
 def phase_modified_coherent(alpha: complex, dim: int) -> FockVector:
     """Coherent state whose two-photon amplitude is rotated by pi/2."""
-    if dim < 3:
-        raise InvalidDimensionError("phase-modified state needs dim >= 3")
-    amps = _coherent_amps(alpha, dim)
-    amps[2] *= 1j
-    return FockVector(amps).normalize()
+    return FockVector(_phase_modified_rows(np.array([alpha]), dim)[0])
 
 
 def kerr_coherent(params: KerrParams, dim: int) -> FockVector:
     """Coherent state after a Kerr medium: c_n -> c_n e^{-i chi_t (n^2 - n)}."""
-    n = np.arange(dim)
-    amps = _coherent_amps(params.alpha, dim) * np.exp(-1j * params.chi_t * (n * n - n))
-    return FockVector(amps).normalize()
+    return FockVector(_kerr_rows(np.array([params.alpha]), np.array([params.chi_t]), dim)[0])
 
 
 def vacuum_two_photon(c2: float, dim: int = 3) -> FockVector:
     """Superposition of vacuum and a two-photon pair with real weight c2."""
-    if not 0.0 <= c2 <= 1.0:
-        raise ValueError(f"c2 must lie in [0, 1], got {c2}")
-    if dim < 3:
-        raise InvalidDimensionError("vacuum/two-photon superposition needs dim >= 3")
-    amps = np.zeros(dim, dtype=complex)
-    amps[0] = math.sqrt(1.0 - c2 * c2)
-    amps[2] = c2
-    return FockVector(amps)
+    return FockVector(_two_photon_rows(np.array([c2]), dim)[0])
 
 
 def cat_state(params: CatParams, dim: int) -> FockVector:
@@ -93,14 +152,7 @@ def cat_state(params: CatParams, dim: int) -> FockVector:
     Only the parity's photon-number branch survives (even n for +1, odd n
     for -1).  The odd cat is undefined at alpha_sch = 0.
     """
-    alpha, p = params.alpha_sch, params.parity
-    overlap = math.exp(-2.0 * abs(alpha) ** 2)
-    norm_sq = 2.0 * (1.0 + p * overlap)
-    if norm_sq <= 0.0 or (p == -1 and alpha == 0):
-        raise ValueError("odd cat is unnormalizable at alpha_sch = 0")
-    # _coherent_amps(-alpha) is (-1)^n _coherent_amps(alpha): the parity's branch doubles.
-    keep = np.arange(dim) % 2 == (1 - p) // 2
-    return FockVector(np.where(keep, 2.0 * _coherent_amps(alpha, dim), 0.0) / math.sqrt(norm_sq))
+    return FockVector(_cat_rows(np.array([params.alpha_sch]), np.array([params.parity]), dim)[0])
 
 
 def squeezed_vacuum(xi: complex, dim: int) -> FockVector:

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antibunch import figures
-from antibunch.errors import VacuumOutputError
+from antibunch import figures, states
+from antibunch.beamsplitter import _ladder_moments
+from antibunch.errors import InvalidDimensionError, VacuumOutputError
+from antibunch.states import CatParams, KerrParams
 from antibunch.optimize import Axis, SweepSpec, min_curve, refine_min, sweep
 from antibunch.figures import (
     FIGURES,
@@ -221,15 +223,15 @@ class TestArmTables:
     def test_fig3b_builds_each_arm_once_per_alpha(self, monkeypatch):
         # (R, phi) move neither arm, so the coarse sweep and every simplex
         # evaluation of a row share one Kerr and one coherent table.
-        calls = {"kerr_coherent": [], "coherent": []}
-        for name, seen in calls.items():
-            original = getattr(figures.states, name)
-            monkeypatch.setattr(figures.states, name,
-                                lambda p, dim, f=original, seen=seen: seen.append(p) or f(p, dim))
-        figures._arm.cache_clear()
+        built = {figures._kerr: [], figures._coherent: []}
+        build = figures._build
+        monkeypatch.setattr(figures, "_build",
+                            lambda factory, cells: built[factory].extend(cells)
+                            or build(factory, cells))
+        figures._cached.cache.clear()
         res = fig3b(count=2, inner_grid=5)
-        assert [p.alpha for p in calls["kerr_coherent"]] == [0.05, 0.5]
-        assert calls["coherent"] == [0.05, 0.5]
+        assert built[figures._kerr] == [(0.05, 0.05, 16), (0.5, 0.05, 16)]
+        assert built[figures._coherent] == [(0.05, 16), (0.5, 16)]
         assert [row[0] for row in res.rows] == [0.05, 0.5]
 
     def test_cached_tables_are_read_only(self):
@@ -238,6 +240,70 @@ class TestArmTables:
         with pytest.raises(ValueError):
             table[1, 1] = 0.0
         assert figures._arm(figures._kerr, 0.3, 0.05, 16) is table
+
+
+# Each array form of states the figures use, with a strategy for one cell of
+# its arguments (truncation last) and the public factory of that cell.
+_DIMS = st.sampled_from([3, 16, 24, 33])
+BATCHED_ARMS = {
+    "coherent": (figures._coherent, st.tuples(st.floats(0.0, 2.0), _DIMS), states.coherent),
+    "phase_modified": (figures._phase_modified, st.tuples(st.floats(0.0, 2.0), _DIMS),
+                       states.phase_modified_coherent),
+    "kerr": (figures._kerr, st.tuples(st.floats(0.0, 2.0), st.floats(-1.0, 1.0), _DIMS),
+             lambda alpha, chi_t, dim: states.kerr_coherent(KerrParams(alpha, chi_t), dim)),
+    "two_photon": (figures._two_photon, st.tuples(st.floats(0.0, 1.0), _DIMS),
+                   states.vacuum_two_photon),
+    "cat": (figures._cat, st.tuples(st.floats(1e-9, 1.5), st.sampled_from([1, -1]), _DIMS),
+            lambda alpha_sch, parity, dim: states.cat_state(CatParams(alpha_sch, parity), dim)),
+}
+
+
+class TestBatchedArms:
+    @pytest.mark.parametrize("name", sorted(BATCHED_ARMS))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_each_cell_matches_its_state_factory(self, name, data):
+        form, cell, factory = BATCHED_ARMS[name]
+        cells = data.draw(st.lists(cell, min_size=1, max_size=12))
+        for table, args in zip(figures._build(form, cells), cells):
+            np.testing.assert_allclose(table, _ladder_moments(factory(*args).amps),
+                                       rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(BATCHED_ARMS))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_a_cell_rounds_alike_alone_and_anywhere_in_a_batch(self, name, data):
+        form, cell, _ = BATCHED_ARMS[name]
+        size = data.draw(st.integers(1, 200))
+        cells = data.draw(st.lists(cell, min_size=size, max_size=size, unique=True)
+                          .flatmap(st.permutations))
+        for table, args in zip(figures._build(form, cells), cells):
+            assert np.array_equal(table, figures._build(form, [args])[0])
+
+    @pytest.mark.parametrize("form, arrays, scalar", [
+        (figures._two_photon, (np.array([0.3, 1.5]), 16), lambda: states.vacuum_two_photon(1.5, 16)),
+        (figures._two_photon, (np.array([-0.1]), 16), lambda: states.vacuum_two_photon(-0.1, 16)),
+        (figures._two_photon, (np.array([0.3]), 2), lambda: states.vacuum_two_photon(0.3, 2)),
+        (figures._phase_modified, (np.array([0.3, 0.4]), 2),
+         lambda: states.phase_modified_coherent(0.3, 2)),
+        (figures._coherent, (np.array([0.3]), 1), lambda: states.coherent(0.3, 1)),
+        (figures._kerr, (np.array([0.3]), 0.05, 1),
+         lambda: states.kerr_coherent(KerrParams(0.3, 0.05), 1)),
+        (figures._cat, (np.array([0.3]), 1, 1), lambda: states.cat_state(CatParams(0.3, 1), 1)),
+        (figures._cat, (0.3, np.array([1, 2]), 16), lambda: states.cat_state(CatParams(0.3, 2), 16)),
+        (figures._cat, (np.array([0.2, 0.0]), -1, 16),
+         lambda: states.cat_state(CatParams(0.0, -1), 16)),
+    ], ids=["c2-above-1", "c2-below-0", "two_photon-dim-2", "phase_modified-dim-2",
+            "coherent-dim-1", "kerr-dim-1", "cat-dim-1", "parity-2", "odd-cat-at-0"])
+    def test_refusals_match_the_factory_and_cache_nothing(self, form, arrays, scalar):
+        with pytest.raises(Exception) as refused:
+            scalar()
+        assert refused.type in (ValueError, InvalidDimensionError)
+        figures._cached.cache.clear()
+        with pytest.raises(refused.type) as batched:
+            figures._tables(form, *arrays)
+        assert batched.type is refused.type
+        assert not figures._cached.cache
 
 
 def _mp_moment_g2(ma, mb, R, phi):

@@ -31,6 +31,18 @@ class TestCoherent:
         psi = states.coherent(0.5, 32)
         assert g2_from_coeffs(psi) == pytest.approx(1.0, abs=1e-10)
 
+    @settings(max_examples=50, deadline=None)
+    @given(alphas=st.lists(st.one_of(st.floats(0.0, 3.0), st.complex_numbers(max_magnitude=3.0)),
+                           min_size=1, max_size=5),
+           dim=st.integers(2, 60))
+    def test_cumulative_product_rounds_as_the_recursion(self, alphas, dim):
+        # c_n = c_{n-1} * alpha / sqrt(n), one complex scalar step at a time
+        for alpha, terms in zip(alphas, states._coherent_terms(np.array(alphas), dim)):
+            loop = [np.complex128(1.0)]
+            for n in range(1, dim):
+                loop.append(loop[-1] * alpha / math.sqrt(n))
+            assert np.array_equal(terms, np.array(loop) * math.exp(-0.5 * abs(alpha) ** 2))
+
 
 class TestPhaseModified:
     def test_only_two_photon_amplitude_rotated(self):
@@ -116,6 +128,12 @@ class TestCatStates:
     def test_odd_cat_at_zero_amplitude(self):
         with pytest.raises(ValueError):
             states.cat_state(CatParams(0.0, -1), 16)
+
+    @pytest.mark.parametrize("alpha_sch", [1e-3, 1e-5, 1e-7, 1e-9])
+    def test_odd_cat_stays_normalized_near_zero_amplitude(self, alpha_sch):
+        # 1 - e^{-2|alpha|^2} cancels as alpha_sch -> 0; the norm must not.
+        psi = states.cat_state(CatParams(alpha_sch, -1), 16)
+        assert abs(psi.norm() - 1.0) <= 1e-15
 
 
 class TestSqueezedStates:

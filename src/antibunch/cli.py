@@ -1,8 +1,9 @@
 """Command-line front end: ad-hoc g2 evaluation, figure datasets, selftest.
 
 Exit codes: 0 success, 2 usage error (argparse), 3 configuration error
-(a malformed config, a value the library refuses, or a figure too large to
-allocate), 4 selftest failure, 5 undefined g2 (output below the intensity floor).
+(a malformed config, a value the library refuses, a pair whose truncation
+cuts the printed p_n away from its g2, or a figure too large to allocate),
+4 selftest failure, 5 undefined g2 (output below the intensity floor).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import beamsplitter, figures, fock, lindblad, states
 from .beamsplitter import BeamsplitterParams
-from .errors import AntibunchError, ConfigError, VacuumOutputError
+from .errors import AntibunchError, ConfigError, TruncationError, VacuumOutputError
 
 # kind -> required fields (every spec may also carry an optional "dim")
 _STATE_FIELDS = {
@@ -187,14 +188,20 @@ def _cmd_g2(args) -> int:
                                     phi=_as_float(bs.get("phi", 0.0), "phi"))
         psi_a = build_state(cfg["state_a"], args.dim)
         psi_b = build_state(cfg["state_b"], args.dim)
-        # The truncated rotation cuts every photon-number sector at the
-        # smaller arm, so both arms share the larger truncation.
+        # The truncated rotation cuts every photon-number sector at the smaller
+        # arm, so both arms share the larger truncation.  A populated sector cut
+        # there leaves p_n normalized but wrong, so p_n must carry the moment g2.
+        exact = psi_a.dim + psi_b.dim - 1  # holds every sector the arms populate
         dim = max(psi_a.dim, psi_b.dim)
         psi_a, psi_b = psi_a.padded(dim), psi_b.padded(dim)
         g2, n_mean = beamsplitter.output_moments(psi_a, psi_b, params)
         joint = beamsplitter.mix(psi_a, psi_b, params)
         p_n = (np.abs(joint.as_matrix()) ** 2).sum(axis=1)
         p_n /= p_n.sum()
+        g2_p = beamsplitter._weighted_g2(p_n)[0]
+        if not abs(g2_p - g2) <= 1e-9 * abs(g2):
+            raise TruncationError(f"p_n at dim={dim} gives g2 {g2_p:.6g}, not {g2:.6g}",
+                                  recommended_dim=exact)
     report = {
         "g2": float(g2),
         "n_mean": float(n_mean),

@@ -8,12 +8,12 @@ stable names so sweep specs can name them.  Each input arm's moment table
 is built once per distinct argument tuple and cached, so a refinement that
 moves only the splitter, or only one arm, rebuilds nothing else.  The
 tables an objective call lacks are built together, one array pass per
-truncation, by the arm's array form in states.  Given open-grid arrays the
-objectives evaluate the whole map as one array expression, with NaN on dark
-cells; given scalars they return floats and raise VacuumOutputError on a
-dark output.  A scalar call is a batch of one, and both run the
-beamsplitter's one real-arithmetic moment kernel, so a scalar call returns
-its map cell bit for bit.
+truncation, by the arm's array form in states, which every arm has.  Given
+open-grid arrays the objectives evaluate the whole map as one array
+expression, with NaN on dark cells; given scalars they return floats and
+raise VacuumOutputError on a dark output.  A scalar call is a batch of one,
+and both run the beamsplitter's one real-arithmetic moment kernel, so a
+scalar call returns its map cell bit for bit.
 
 Phases follow the normalized-to-pi convention of the beamsplitter module in
 all inputs and outputs; radians never appear in emitted data.
@@ -60,30 +60,19 @@ def _meta(name: str, params: dict, t0: float, extra: dict | None = None) -> dict
 
 # ---------------------------------------------------------------- objectives
 
-# Input arms.  The array forms of states take 1-D parameter arrays and one
-# truncation and build every cell's amplitudes at once; any other factory,
-# such as the squeezed arm, builds one state per cell.  A cell is the arm's
-# argument tuple, truncation last.
-_coherent, _phase_modified, _kerr, _two_photon, _cat = _ARRAY_FORMS = (
+# Input arms: the array forms of states, each taking 1-D parameter arrays and one
+# truncation.  A cell is the arm's argument tuple, truncation last.
+_coherent, _phase_modified, _kerr, _two_photon, _cat, _squeezed = (
     states._coherent_rows, states._phase_modified_rows, states._kerr_rows,
-    states._two_photon_rows, states._cat_rows)
+    states._two_photon_rows, states._cat_rows, states._squeezed_rows)
 
 
-def _squeezed(r, omega, dim):
-    """Squeezed vacuum with xi = r e^{i omega}."""
-    return states.squeezed_vacuum(r * np.exp(1j * omega), int(dim))
-
-
-def _build(factory, cells: list) -> list:
-    """Read-only moment tables of factory's input states at cells, one array pass per truncation."""
+def _build(form, cells: list) -> list:
+    """Read-only moment tables of form's input states at cells, one array pass per truncation."""
     tables = {}
     for dim in dict.fromkeys(cell[-1] for cell in cells):
         group = [cell for cell in cells if cell[-1] == dim]
-        if factory in _ARRAY_FORMS:
-            amps = factory(*map(np.array, list(zip(*group))[:-1]), int(dim))
-        else:
-            amps = [factory(*cell).amps for cell in group]
-        moments = _ladder_moments(amps)
+        moments = _ladder_moments(form(*map(np.array, list(zip(*group))[:-1]), int(dim)))
         moments.setflags(write=False)
         tables.update(zip(group, moments))
     return [tables[cell] for cell in cells]
@@ -97,12 +86,12 @@ def _table_cache(maxsize: int) -> Callable:
     """
     cache = {}
 
-    def tables(factory, cells: list) -> list:
-        found = {cell: cache.get((factory, *cell)) for cell in cells}
+    def tables(form, cells: list) -> list:
+        found = {cell: cache.get((form, *cell)) for cell in cells}
         new = [cell for cell, table in found.items() if table is None]
         if new:
-            found.update(zip(new, _build(factory, new)))
-            cache.update(((factory, *cell), found[cell]) for cell in new)
+            found.update(zip(new, _build(form, new)))
+            cache.update(((form, *cell), found[cell]) for cell in new)
             for key in list(cache)[:len(cache) - maxsize]:
                 del cache[key]
         return [found[cell] for cell in cells]
@@ -114,30 +103,20 @@ def _table_cache(maxsize: int) -> Callable:
 _cached = _table_cache(256)
 
 
-def _arm(factory, *args) -> np.ndarray:
-    """Read-only moment table of factory's input state at args: a batch of one."""
-    return _cached(factory, [args])[0]
-
-
-def _tables(factory, *args) -> np.ndarray:
-    """Moment tables of factory's input states, one per cell of the broadcast args: (..., 3, 3).
-
-    Python numbers, as a scalar call passes, get the cached table itself.
-    """
-    if all(type(a) in (int, float) for a in args):
-        return _arm(factory, *args)
+def _tables(form, *args) -> np.ndarray:
+    """Moment tables of form's input states, one per cell of the broadcast args: (..., 3, 3)."""
     args = np.broadcast_arrays(*args)
     cells = list(zip(*(a.ravel().tolist() for a in args)))
-    return np.array(_cached(factory, cells)).reshape(args[0].shape + (3, 3))
+    return np.array(_cached(form, cells)).reshape(args[0].shape + (3, 3))
 
 
-def _output(factory_a, args_a, factory_b, args_b, R, phi):
-    """(g2, n_mean) of output mode A for inputs factory_a(*args_a), factory_b(*args_b).
+def _output(form_a, args_a, form_b, args_b, R, phi):
+    """(g2, n_mean) of output mode A for inputs form_a(*args_a), form_b(*args_b).
 
     All-scalar inputs give floats and raise VacuumOutputError on a dark
     output; otherwise the arrays broadcast and dark cells are NaN.
     """
-    tables = _tables(factory_a, *args_a), _tables(factory_b, *args_b)
+    tables = _tables(form_a, *args_a), _tables(form_b, *args_b)
     # np.ndim alone costs microseconds on a Python number.
     if all(type(x) in (int, float) or np.ndim(x) == 0 for x in (*args_a, *args_b, R, phi)):
         return _scalar_g2(*tables, R, phi)
@@ -146,25 +125,21 @@ def _output(factory_a, args_a, factory_b, args_b, R, phi):
 
 def phase_modified_mix(R, phi, alpha=0.3, dim=16):
     """g2 of output A: coherent state with rotated two-photon amplitude vs coherent."""
-    dim = int(dim)
     return _output(_phase_modified, (alpha, dim), _coherent, (alpha, dim), R, phi)
 
 
 def kerr_mix(R, phi, alpha=0.3, chi_t=0.05, dim=16):
     """g2 of output A: Kerr-evolved coherent vs coherent of the same alpha."""
-    dim = int(dim)
     return _output(_kerr, (alpha, chi_t, dim), _coherent, (alpha, dim), R, phi)
 
 
 def two_photon_mix(alpha, c2, R=0.5, phi=0.5, dim=16):
     """g2 of output A: vacuum+two-photon superposition vs coherent."""
-    dim = int(dim)
     return _output(_two_photon, (c2, dim), _coherent, (alpha, dim), R, phi)
 
 
 def cat_mix(alpha_sch, alpha, parity=1, R=0.5, phi=0.5, dim=16):
     """g2 of output A: even/odd cat vs coherent."""
-    dim = int(dim)
     return _output(_cat, (alpha_sch, parity, dim), _coherent, (alpha, dim), R, phi)
 
 
@@ -179,7 +154,8 @@ def squeezed_mix(r=0.05, alpha=0.5, phi=1.0, R=0.1, omega=0.0, dim_a=None, dim_b
         dim_a = np.frompyfunc(lambda r: max(24, squeeze_dim(r)), 1, 1)(r)
     if dim_b is None:
         dim_b = np.frompyfunc(default_dim, 1, 1)(alpha)
-    return _output(_squeezed, (r, omega, dim_a), _coherent, (alpha, dim_b), R, phi)
+    return _output(_squeezed, (0.0, r * np.exp(1j * omega), dim_a), _coherent, (alpha, dim_b),
+                   R, phi)
 
 
 optimize.OBJECTIVE_REGISTRY.update(

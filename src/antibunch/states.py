@@ -10,16 +10,17 @@ Amplitude conventions:
 * cat:                 N (|alpha> + parity |-alpha>), exact N
 * squeezed coherent:   D(alpha) S(xi) |0>, from its three-term amplitude recursion
 
-Every kind but the squeezed states has a private array form (_coherent_rows
-and its siblings): it takes 1-D parameter arrays and one truncation, returns
-the (cells, dim) amplitudes of every cell and refuses as the factory does.
-The factory is its one-cell case, so a state built alone and the same cell
-of a batch agree bit for bit.
+Every kind has a private array form (_coherent_rows and its siblings): it
+takes 1-D parameter arrays and one truncation, returns the (cells, dim)
+amplitudes of every cell and refuses as the factory does, before any row is
+built.  The factory is its one-cell case, so a state built alone and the
+same cell of a batch agree bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,12 +71,11 @@ def _coherent_terms(alpha: np.ndarray, dim: int) -> np.ndarray:
 
 def _normalized(amps: np.ndarray) -> np.ndarray:
     """Each row over its norm; a row within FockVector.normalize's slack of 1 is kept as is."""
-    norm = np.sqrt(np.add.reduce((amps.conj() * amps).real, axis=1))
-    off = abs(norm - 1.0) >= _NORM_SLACK
-    if off.any():
-        if not norm.all():
-            raise ValueError("cannot normalize the zero vector")
-        amps[off] /= norm[off, np.newaxis]
+    norms = np.sqrt(np.add.reduce((amps.conj() * amps).real, axis=1)).tolist()
+    scale = [n if abs(n - 1.0) >= _NORM_SLACK else 1.0 for n in norms]  # x / 1.0 is x
+    if 0.0 in scale:
+        raise ValueError("cannot normalize the zero vector")
+    amps /= np.array(scale)[:, np.newaxis]
     return amps
 
 
@@ -126,6 +126,44 @@ def _cat_rows(alpha_sch: np.ndarray, parity: np.ndarray, dim: int) -> np.ndarray
     return terms / np.sqrt(norm_sq)[:, np.newaxis]
 
 
+@functools.lru_cache(maxsize=64)
+def _roots(dim: int) -> tuple:  # sqrt(n) for n = 0, ..., dim - 1
+    return tuple(np.sqrt(np.arange(dim)).tolist())
+
+
+def _squeezed_rows(alpha: np.ndarray, xi: np.ndarray, dim: int) -> np.ndarray:
+    """(cells, dim) amplitudes of D(alpha) S(xi) |0>, xi = r e^{i omega}.
+
+    With mu = cosh r, nu = e^{i omega} sinh r and gamma = mu alpha + nu conj(alpha),
+    (mu a + nu a^dag) psi = gamma psi gives c_{n+1} = (gamma c_n - nu sqrt(n) c_{n-1})
+    / (mu sqrt(n+1)) (Gerry & Knight, Introductory Quantum Optics, ch. 7).  c_0 takes
+    only the phase of <0|D(alpha) S(xi)|0> = exp(-|alpha|^2/2 - conj(alpha)^2 e^{i omega}
+    tanh(r)/2) / sqrt(cosh r), so no large |alpha| overflows it; each truncated row
+    is normalized.  Refused in order: dim < 2, then per cell fock.amplitude_dim,
+    |xi| > 1.5 and fock.squeeze_dim.
+    """
+    if dim < 2:
+        raise InvalidDimensionError(f"squeezed states need dim >= 2, got {dim}")
+    cells = list(zip(alpha.tolist(), xi.tolist()))
+    for a, x in cells:
+        amplitude_dim(a, dim)
+        if abs(x) > 1.5:
+            raise ValueError(f"squeeze magnitude {abs(x):.4g} outside supported range |xi| <= 1.5")
+        if dim < squeeze_dim(x):
+            raise TruncationError(f"squeeze |xi|={abs(x):.4g} unsafe at dim={dim}",
+                                  recommended_dim=squeeze_dim(x))
+    roots, amps = _roots(dim), []
+    for a, x in cells:
+        mu, nu = math.cosh(abs(x)), cmath.rect(math.sinh(abs(x)), cmath.phase(x))
+        gamma = mu * a + nu * a.conjugate()
+        c, before = cmath.exp(-0.5j * (a.conjugate() ** 2 * nu / mu).imag), 0j  # c_0, c_{-1}
+        amps.append(c)
+        for n, n_plus in zip(roots, roots[1:]):  # sqrt(n), sqrt(n + 1)
+            c, before = (gamma * c - nu * n * before) / (mu * n_plus), c
+            amps.append(c)
+    return _normalized(np.array(amps, dtype=complex).reshape(len(cells), dim))
+
+
 def coherent(alpha: complex, dim: int) -> FockVector:
     """Truncated coherent state, renormalized after truncation."""
     return FockVector(_coherent_rows(np.array([alpha]), dim)[0])
@@ -161,27 +199,5 @@ def squeezed_vacuum(xi: complex, dim: int) -> FockVector:
 
 
 def squeezed_coherent(alpha: complex, xi: complex, dim: int) -> FockVector:
-    """Displaced squeezed vacuum D(alpha) S(xi) |0> (order is binding), xi = r e^{i omega}.
-
-    With mu = cosh r, nu = e^{i omega} sinh r and gamma = mu alpha + nu conj(alpha),
-    (mu a + nu a^dag) psi = gamma psi gives c_{n+1} = (gamma c_n - nu sqrt(n) c_{n-1})
-    / (mu sqrt(n+1)) (Gerry & Knight, Introductory Quantum Optics, ch. 7).  c_0 takes
-    only the phase of <0|D(alpha) S(xi)|0> = exp(-|alpha|^2/2 - conj(alpha)^2 e^{i omega}
-    tanh(r)/2) / sqrt(cosh r), so no large |alpha| overflows it; the truncated vector
-    is normalized.  Refused in order: fock.amplitude_dim, |xi| > 1.5, fock.squeeze_dim.
-    """
-    if dim < 2:
-        raise InvalidDimensionError(f"squeezed states need dim >= 2, got {dim}")
-    amplitude_dim(alpha, dim)
-    r = abs(xi)
-    if r > 1.5:
-        raise ValueError(f"squeeze magnitude {r:.4g} outside supported range |xi| <= 1.5")
-    if dim < squeeze_dim(xi):
-        raise TruncationError(f"squeeze |xi|={r:.4g} unsafe at dim={dim}",
-                              recommended_dim=squeeze_dim(xi))
-    mu, nu = math.cosh(r), cmath.rect(math.sinh(r), cmath.phase(xi))
-    gamma = mu * alpha + nu * alpha.conjugate()
-    amps = [0j, cmath.exp(-0.5j * (alpha.conjugate() ** 2 * nu / mu).imag)]  # c_{-1}, c_0
-    for n in range(dim - 1):
-        amps.append((gamma * amps[-1] - nu * math.sqrt(n) * amps[-2]) / (mu * math.sqrt(n + 1)))
-    return FockVector(np.array(amps[1:])).normalize()
+    """Displaced squeezed vacuum D(alpha) S(xi) |0> (order is binding): one _squeezed_rows cell."""
+    return FockVector(_squeezed_rows(np.array([alpha]), np.array([xi]), dim)[0])

@@ -212,6 +212,62 @@ class TestG2PairDistribution:
         assert g2_of_p == pytest.approx(g2, rel=1e-12, abs=0)
 
 
+def g2_of_printed(out):
+    """(printed g2, g2 of the printed p_n as beamsplitter._weighted_g2 forms it)."""
+    report = json.loads(out)
+    p_n = np.array(report["p_n"])
+    n = np.arange(p_n.size, dtype=float)
+    return report["g2"], float(p_n @ (n * (n - 1.0))) / float(p_n @ n) ** 2
+
+
+class TestG2PairCutDistribution:
+    """A pair whose truncation cuts p_n away from its printed g2 is refused with exit 3."""
+
+    TWO = {"state_a": {"kind": "fock", "n": 2}, "state_b": {"kind": "fock", "n": 2},
+           "beamsplitter": {"R": 0.5}}
+
+    def test_two_photons_in_each_arm_are_refused_at_defaults(self, tmp_path, capsys):
+        # each |2> defaults to 4 levels, which cut the output's N = 4 sector
+        cfg = write_config(tmp_path, self.TWO)
+        assert cli.main(["g2", "--config", str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "retry with dim >= 7" in err
+
+    def test_two_photons_in_each_arm_at_dim_5(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.TWO)
+        assert cli.main(["g2", "--config", str(cfg), "--dim", "5"]) == 0
+        out = capsys.readouterr().out
+        np.testing.assert_allclose(json.loads(out)["p_n"], [3 / 8, 0.0, 1 / 4, 0.0, 3 / 8],
+                                   rtol=0.0, atol=1e-12)
+        g2, g2_of_p = g2_of_printed(out)
+        assert g2 == pytest.approx(1.25, rel=1e-12)
+        assert g2_of_p == pytest.approx(g2, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("state_a", [
+        {"kind": "fock", "n": 2},
+        {"kind": "fock", "n": 20},
+        {"kind": "cat", "alpha_sch": 0.2, "parity": -1},
+        {"kind": "vacuum_two_photon", "c2": 0.3},
+        {"kind": "squeezed_vacuum", "xi": 0.2},
+    ], ids=["fock2", "fock20", "odd-cat", "two_photon", "squeezed_vacuum"])
+    def test_printed_p_n_carries_the_printed_g2_or_is_refused(self, tmp_path, capsys, state_a):
+        cfg = write_config(tmp_path, {"state_a": state_a,
+                                      "state_b": {"kind": "coherent", "alpha": 0.3},
+                                      "beamsplitter": {"R": 0.3873, "phi": 0.3}})
+        code = cli.main(["g2", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        if code == 3:  # retried at the truncation the refusal names
+            dim = err.rsplit("retry with dim >= ", 1)[1].rstrip(")\n")
+            assert cli.main(["g2", "--config", str(cfg), "--dim", dim]) == 0
+            out = capsys.readouterr().out
+        else:
+            assert code == 0
+        g2, g2_of_p = g2_of_printed(out)
+        assert g2_of_p == pytest.approx(g2, rel=1e-12, abs=0)
+
+
 class TestRefusedValues:
     # Each value is one the library refuses; the CLI reports it as a
     # one-line config error (exit 3), never as a traceback or a silent default.

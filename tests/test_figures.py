@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from antibunch import figures, states
 from antibunch.beamsplitter import _ladder_moments
-from antibunch.errors import InvalidDimensionError, VacuumOutputError
+from antibunch.errors import InvalidDimensionError, TruncationError, VacuumOutputError
 from antibunch.states import CatParams, KerrParams
 from antibunch.optimize import Axis, SweepSpec, min_curve, refine_min, sweep
 from antibunch.figures import (
@@ -235,11 +235,11 @@ class TestArmTables:
         assert [row[0] for row in res.rows] == [0.05, 0.5]
 
     def test_cached_tables_are_read_only(self):
-        table = figures._arm(figures._kerr, 0.3, 0.05, 16)
+        table = figures._cached(figures._kerr, [(0.3, 0.05, 16)])[0]
         assert table.shape == (3, 3) and not table.flags.writeable
         with pytest.raises(ValueError):
             table[1, 1] = 0.0
-        assert figures._arm(figures._kerr, 0.3, 0.05, 16) is table
+        assert figures._cached(figures._kerr, [(0.3, 0.05, 16)])[0] is table
 
 
 # Each array form of states the figures use, with a strategy for one cell of
@@ -255,6 +255,11 @@ BATCHED_ARMS = {
                    states.vacuum_two_photon),
     "cat": (figures._cat, st.tuples(st.floats(1e-9, 1.5), st.sampled_from([1, -1]), _DIMS),
             lambda alpha_sch, parity, dim: states.cat_state(CatParams(alpha_sch, parity), dim)),
+    # |alpha|^2 <= dim/4 and dim >= squeeze_dim(xi) = ceil(20 (1 + |xi|)) hold in every cell
+    "squeezed": (figures._squeezed, st.tuples(st.complex_numbers(max_magnitude=2.0),
+                                              st.complex_numbers(max_magnitude=0.6),
+                                              st.sampled_from([33, 48])),
+                 states.squeezed_coherent),
 }
 
 
@@ -293,12 +298,21 @@ class TestBatchedArms:
         (figures._cat, (0.3, np.array([1, 2]), 16), lambda: states.cat_state(CatParams(0.3, 2), 16)),
         (figures._cat, (np.array([0.2, 0.0]), -1, 16),
          lambda: states.cat_state(CatParams(0.0, -1), 16)),
+        (figures._squeezed, (0.0, np.array([0.1]), 1), lambda: states.squeezed_vacuum(0.1, 1)),
+        (figures._squeezed, (0.0, np.array([0.1, 1.6]), 60),
+         lambda: states.squeezed_vacuum(1.6, 60)),
+        (figures._squeezed, (0.0, np.array([0.1, 0.5]), 24),
+         lambda: states.squeezed_vacuum(0.5, 24)),
+        (figures._squeezed, (np.array([0.5, 3.0]), 0.1, 24),
+         lambda: states.squeezed_coherent(3.0, 0.1, 24)),
     ], ids=["c2-above-1", "c2-below-0", "two_photon-dim-2", "phase_modified-dim-2",
-            "coherent-dim-1", "kerr-dim-1", "cat-dim-1", "parity-2", "odd-cat-at-0"])
+            "coherent-dim-1", "kerr-dim-1", "cat-dim-1", "parity-2", "odd-cat-at-0",
+            "squeezed-dim-1", "squeeze-above-1.5", "squeezed-below-squeeze_dim",
+            "squeezed-below-amplitude_dim"])
     def test_refusals_match_the_factory_and_cache_nothing(self, form, arrays, scalar):
         with pytest.raises(Exception) as refused:
             scalar()
-        assert refused.type in (ValueError, InvalidDimensionError)
+        assert refused.type in (ValueError, InvalidDimensionError, TruncationError)
         figures._cached.cache.clear()
         with pytest.raises(refused.type) as batched:
             figures._tables(form, *arrays)
@@ -330,8 +344,8 @@ class TestMomentG2Accuracy:
     def test_fig3b_optima_match_a_40_digit_evaluation(self, chi_t, alpha_hi):
         mpmath = pytest.importorskip("mpmath")
         for alpha, _, _, R, phi, _ in fig3b(chi_t=chi_t, alpha_hi=alpha_hi).rows:
-            ma = figures._arm(figures._kerr, alpha, chi_t, 16)
-            mb = figures._arm(figures._coherent, alpha, 16)
+            ma = figures._cached(figures._kerr, [(alpha, chi_t, 16)])[0]
+            mb = figures._cached(figures._coherent, [(alpha, 16)])[0]
             g2 = float(figures._moment_g2(ma, mb, R, phi)[0])
             with mpmath.workdps(40):
                 want = float(_mp_moment_g2(ma, mb, R, phi))
@@ -341,8 +355,8 @@ class TestMomentG2Accuracy:
         # No deep cancellation on fig4's curve: g2 stays above 0.2.
         mpmath = pytest.importorskip("mpmath")
         for c2, min_g2, _, alpha, _, _ in fig4().rows:
-            ma = figures._arm(figures.states.vacuum_two_photon, c2, 16)
-            mb = figures._arm(figures._coherent, alpha, 16)
+            ma = figures._cached(figures._two_photon, [(c2, 16)])[0]
+            mb = figures._cached(figures._coherent, [(alpha, 16)])[0]
             g2 = float(figures._moment_g2(ma, mb, 0.5, 0.5)[0])
             with mpmath.workdps(40):
                 want = float(_mp_moment_g2(ma, mb, 0.5, 0.5))

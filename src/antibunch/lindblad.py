@@ -9,11 +9,15 @@ field equal those of the displaced mode up to a scale that cancels in g2.
 g2(tau) uses the quantum regression theorem: seed rho1 = d rho_ss d+ /
 Tr(d rho_ss d+), evolve tau under the Liouvillian, read Tr(d+ d rho1(tau));
 with that seed normalization g2(tau) = Tr(d+ d rho1(tau)) / Tr(d+ d rho_ss).
-One interval-mode expm_multiply call (Al-Mohy and Higham, SIAM J. Sci.
-Comput. 33, 488 (2011)) propagates the seed to every point of a uniform tau
-grid on the steady state's excitation ladder: the states of total Fock
-number <= K, with K chosen from the returned steady state so that its
-population above K is negligible against the measured intensity.
+The seed is propagated on the steady state's excitation ladder: the states
+of total Fock number <= K, with K chosen from the returned steady state so
+that its population above K is negligible against the measured intensity.
+On a uniform tau grid of step h, a small ladder's exact one-step
+propagator e^{hL} is formed once by expm_multiply (Al-Mohy and Higham,
+SIAM J. Sci. Comput. 33, 488 (2011)) on the identity, and each grid point
+is one matrix-vector product from the last.  A larger ladder, whose step
+would cost more to form than it saves (or not fit in memory), takes one
+interval-mode expm_multiply call.
 
 Steady states come from one of two kernels: the banded LU for small
 single-mode models, the operator-form GMRES for everything else.
@@ -211,8 +215,8 @@ def liouvillian(model: CavityModel) -> sp.csc_matrix:
 # A single-mode model of up to this many unknowns is solved by the banded
 # LU, faster than the operator-form GMRES at weak and strong drive alike: a
 # whole dim-12 solve takes 0.3-0.6 ms by the band, 1.0-1.7 ms by the sparse
-# LU it replaced and 2.4-2.7 ms by GMRES, which stalls short of its
-# tolerance at F = 0.8, dims 18 and 24.  Every other model goes to the
+# LU it replaced and 2.4-2.7 ms by GMRES, whose first round stalls short
+# of its tolerance at F = 0.8, dims 18 and 24.  Every other model goes to the
 # operator kernel, which never forms the superoperator and beats the sparse
 # LU's fill-in with two modes (coupled (8, 8): ~14 ms against ~650 ms).
 _FULL_SPACE_LIMIT = 10000
@@ -311,16 +315,18 @@ def _kernel_operator(model: CavityModel, drift: np.ndarray, weight: float) -> np
     x = np.zeros(n * n, dtype=complex)
     # The refinement asks only for a relative gain its residual can still
     # make; 1e-12 of a residual already near 1e-17 stagnates for hundreds of
-    # iterations.
+    # iterations.  A first round that stalls short of 1e-12 (single modes at
+    # F >= 0.8, dims 18-24, stop near 1e-10) still hands its iterate on:
+    # only a failed refinement raises.
     for rtol in (1e-12, 1e-6):
         y, info = gmres(op, rhs - bumped(x), rtol=rtol, atol=0.0, restart=20, maxiter=50)
         x = x + sylvester_inverse(y)
-        if info != 0:
-            residual = np.linalg.norm(rhs - bumped(x)) / weight
-            raise SteadyStateError(
-                f"operator kernel: GMRES info {info} at rtol {rtol:g}, "
-                f"relative residual {residual:.3e}"
-            )
+    if info != 0:
+        residual = np.linalg.norm(rhs - bumped(x)) / weight
+        raise SteadyStateError(
+            f"operator kernel: GMRES info {info} at rtol {rtol:g}, "
+            f"relative residual {residual:.3e}"
+        )
     return x
 
 
@@ -445,7 +451,18 @@ class CorrelationCurve:
 # shells above hold at most this fraction of n_ss in rho_ss's population.
 # Against full-space propagation the curve is then within 5e-12 on
 # tau in [0, 5]; at 1e-10 a homodyne-displaced single mode is 2.7e-9 off.
+# Propagation adds its own rounding: on fig7's default grid the coupled
+# dip's curve is 6.8e-13 from a long-double propagation of the same ladder
+# operator by the formed step below, 1.1e-11 by one interval-mode call.
 _LADDER_TAIL = 1e-14
+
+# A ladder of up to this many unknowns is walked by its formed one-step
+# propagator: N^2 complex numbers, built in N-column sparse products whose
+# cost grows as N^2 while the interval-mode call's is nearly flat in N.
+# The limit is the measured crossover (README, g2_tau): on 201-point grids
+# the formed step won at N <= 324, tied or won at 361 and 400, and lost at
+# 441 on every model tried.
+_FORMED_STEP_LIMIT = 400
 
 
 def g2_tau(
@@ -454,11 +471,15 @@ def g2_tau(
     """g2(tau) by quantum regression on a uniform grid from 0.
 
     tau_grid must equal np.linspace(0, tau_max, n) within 1e-12 * tau_max;
-    any other grid is refused before the steady state is solved.  One
-    interval-mode expm_multiply call propagates the seed d rho_ss d+ to every
-    grid point on the steady state's excitation ladder: the product states
-    of total Fock number <= K, with K the smallest shell above which rho_ss
-    holds at most _LADDER_TAIL * n_ss of its population.
+    any other grid is refused before the steady state is solved.  The seed
+    d rho_ss d+ is propagated on the steady state's excitation ladder: the
+    product states of total Fock number <= K, with K the smallest shell
+    above which rho_ss holds at most _LADDER_TAIL * n_ss of its population.
+    A ladder of up to _FORMED_STEP_LIMIT unknowns is walked by its one-step
+    propagator P = e^{hL}, h = tau_max / (n - 1), formed by one
+    expm_multiply call on the identity: g2(tau_k) reads P^k times the seed,
+    one matrix-vector product per point.  A larger ladder takes one
+    interval-mode expm_multiply call over the whole grid.
     """
     tau = _tau_grid(tau_grid)
     if np.max(np.abs(tau - np.linspace(0.0, tau[-1], tau.size))) > 1e-12 * tau[-1]:
@@ -478,8 +499,17 @@ def g2_tau(
     # operators, so the n^2 x n^2 full-space L is never built.
     ix = np.ix_(keep, keep)
     lio = _superoperator(_drift(model)[ix], [c[ix] for c in model.collapse_ops])
-    states = expm_multiply(lio, seed[ix].reshape(-1) / n_ss, start=0.0, stop=tau[-1],
-                           num=tau.size, endpoint=True, traceA=lio.trace())
+    y = seed[ix].reshape(-1) / n_ss
+    if y.size > _FORMED_STEP_LIMIT:
+        states = expm_multiply(lio, y, start=0.0, stop=tau[-1], num=tau.size,
+                               endpoint=True, traceA=lio.trace())
+    else:
+        h = tau[-1] / (tau.size - 1)
+        step = expm_multiply(h * lio, np.eye(y.size, dtype=complex), traceA=h * lio.trace())
+        states = np.empty((tau.size, y.size), dtype=complex)
+        states[0] = y
+        for k in range(1, tau.size):
+            states[k] = step @ states[k - 1]
     readout = (d.conj().T @ d).T[ix].reshape(-1)  # Tr(d+ d rho) = readout . vec(rho)
     return CorrelationCurve(tau, (states @ readout).real / n_ss)
 

@@ -345,6 +345,16 @@ class TestSteadyState:
         with pytest.raises(SteadyStateError, match=r"operator kernel: GMRES info 7 .*residual"):
             steady_state(model)
 
+    @pytest.mark.parametrize("dim, F", [(18, 0.8), (24, 0.8), (24, 1.0)])
+    def test_operator_kernel_refines_past_a_stalled_first_round(self, dim, F):
+        # The first GMRES round stops short of 1e-12 here (relative residual
+        # 1.9e-12 to 2.4e-10); the refinement round takes its iterate on.
+        model = build_single_kerr(0.01, F, 0.02, dim)
+        rho_op = steady_state(model, method="operator").mat
+        rho_direct = steady_state(model, method="direct").mat
+        assert lindblad._residual(model, lindblad._drift(model), rho_op) <= 1e-12
+        assert abs(static_g2(model, rho_ss=rho_op) - static_g2(model, rho_ss=rho_direct)) <= 1e-12
+
     def test_auto_solves_strongly_driven_coupled_model_above_full_space_limit(self):
         # Strong drive above _FULL_SPACE_LIMIT, where a ladder truncated once
         # its low-order moments converge fails the 1e-10 gate (residual
@@ -491,15 +501,23 @@ class TestG2Tau:
             g2_tau(build_single_kerr(0.4, 0.0, 0.1, 8), None, np.linspace(0.0, 1.0, 5))
 
     def test_one_propagation_call_per_curve(self, monkeypatch):
+        # A small ladder's one call builds its step on the identity; a ladder
+        # above the limit takes one interval call over the whole grid.
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("num"))
-            return expm_multiply(*args, **kwargs)
+        def counted(A, B, **kwargs):
+            calls.append((A.shape[0], B.shape, kwargs.get("num")))
+            return expm_multiply(A, B, **kwargs)
 
         monkeypatch.setattr(lindblad, "expm_multiply", counted)
-        g2_tau(build_single_kerr(0.5, 0.3, 0.0, 10), None, np.linspace(0.0, 5.0, 21))
-        assert calls == [21]
+        for model, formed in ((build_single_kerr(0.5, 0.3, 0.0, 10), True),
+                              (build_single_kerr(0.01, 0.8, 0.02, 24), False)):
+            calls.clear()
+            g2_tau(model, None, np.linspace(0.0, 5.0, 21))
+            assert len(calls) == 1
+            n, b_shape, num = calls[0]
+            assert (n <= lindblad._FORMED_STEP_LIMIT) == formed
+            assert (b_shape, num) == (((n, n), None) if formed else ((n,), 21))
 
     def test_linear_cavity_curve_is_flat(self):
         model = build_single_kerr(0.0, 0.2, 0.1, 12)
@@ -550,6 +568,30 @@ class TestG2Tau:
             y = step @ y
         curve = g2_tau(model, None, tau)
         assert np.max(np.abs(curve.g2_values - reference)) < 1e-9
+
+    def test_fig7_coupled_curve_matches_one_step_per_interval(self):
+        # fig7's coupled dip on its default grid.  The reference takes one
+        # expm_multiply call per tau interval on the same excitation ladder;
+        # a long-double propagation of that ladder is 1.1e-12 from it.  The
+        # formed step is 1.5e-12 from it, one interval-mode call 1.1e-11.
+        model = build_coupled_cavities(0.01, 6.2, 0.04, 0.2852256774902344, (12, 12))
+        tau = np.linspace(0.0, 10.0, 201)
+        rho_ss = steady_state(model).mat
+        y, readout = self._seed_and_readout(model, rho_ss)
+        total = np.add.outer(np.arange(12), np.arange(12)).reshape(-1)
+        shells = np.bincount(total, weights=np.diag(rho_ss).real)
+        above = np.cumsum(shells[::-1])[::-1] - shells
+        n_ss = np.trace(model.monitored.conj().T @ model.monitored @ rho_ss).real
+        keep = np.flatnonzero(total <= np.argmax(above <= lindblad._LADDER_TAIL * n_ss))
+        ladder = (keep[:, None] * model.hilbert_dim + keep[None, :]).reshape(-1)
+        lio = liouvillian(model)[ladder][:, ladder]
+        y, readout = y[ladder], readout[ladder]
+        reference = []
+        for _ in tau:
+            reference.append((readout @ y).real)
+            y = expm_multiply(lio * tau[1], y)
+        curve = g2_tau(model, None, tau)
+        assert np.max(np.abs(curve.g2_values - reference)) < 3e-12
 
     @pytest.mark.parametrize(
         "model, mix",

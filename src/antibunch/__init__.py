@@ -32,7 +32,7 @@ from .fock import (
     TwoModeState,
     annihilation,
     basis,
-    default_dim,
+    tail_dim,
 )
 
 __all__ = [
@@ -51,10 +51,10 @@ __all__ = [
     "VacuumOutputError",
     "annihilation",
     "basis",
-    "default_dim",
     "g2_from_coeffs",
     "mix",
     "output_g2",
     "output_g2_b",
     "output_moments",
+    "tail_dim",
 ]

@@ -36,11 +36,11 @@ _STATE_FIELDS = {
 }
 
 
-# The most Fock states the CLI takes for one truncated space: --dim, a state
-# spec's dim, or a figure's dim, dim_a, dim_b or dim_single override, and
-# the joint space of fig7's dims_coupled.  A g2 pair at this dim holds 256 MB
-# of sector eigenvectors; a much larger truncation would exhaust memory
-# before the library could refuse it.
+# The most Fock states the CLI takes for one truncated space: --dim, a spec's
+# dim or fock.tail_dim's pick, a figure's dim, dim_a, dim_b or dim_single or
+# fig6's picked coherent arm, and the joint space of fig7's dims_coupled.  A g2
+# pair at this dim holds 256 MB of sector eigenvectors; a much larger one would
+# exhaust memory before the library could refuse it.
 MAX_DIM = 200
 
 
@@ -123,15 +123,6 @@ def build_state(spec: dict, dim_override: int | None = None) -> fock.FockVector:
         if not 0 <= n < dim:
             raise ConfigError(f"'n' must be a photon number in [0, {dim - 1}], got {_brief(n)}")
         return fock.basis(dim, n)
-    if kind in ("coherent", "phase_modified", "kerr_coherent"):
-        alpha = _as_complex(spec["alpha"], "alpha")
-        dim = _check_dim(fock.amplitude_dim(alpha, dim), field)
-        if kind == "coherent":
-            return states.coherent(alpha, dim)
-        if kind == "phase_modified":
-            return states.phase_modified_coherent(alpha, dim)
-        params = states.KerrParams(alpha=alpha, chi_t=_as_float(spec["chi_t"], "chi_t"))
-        return states.kerr_coherent(params, dim)
     if kind == "vacuum_two_photon":
         return states.vacuum_two_photon(_as_float(spec["c2"], "c2"), dim or 3)
     if kind == "cat":
@@ -139,14 +130,21 @@ def build_state(spec: dict, dim_override: int | None = None) -> fock.FockVector:
         parity = _as_int(spec["parity"], "parity")
         if parity not in (1, -1):
             raise ConfigError(f"'parity' must be +1 or -1, got {_brief(parity)}")
-        params = states.CatParams(alpha_sch=alpha_sch, parity=parity)
-        return states.cat_state(params, _check_dim(fock.amplitude_dim(alpha_sch, dim), field))
-    xi = _as_complex(spec["xi"], "xi")
-    if kind == "squeezed_vacuum":
-        return states.squeezed_vacuum(xi, _check_dim(dim or max(24, fock.squeeze_dim(xi)), field))
-    alpha = _as_complex(spec["alpha"], "alpha")
-    default = max(fock.default_dim(alpha), fock.squeeze_dim(xi))
-    return states.squeezed_coherent(alpha, xi, _check_dim(dim or default, field))
+        dim = _check_dim(fock.tail_dim(states._cat_rows, (alpha_sch, parity), dim), field)
+        return states.cat_state(states.CatParams(alpha_sch=alpha_sch, parity=parity), dim)
+    if kind.startswith("squeezed"):  # the vacuum is alpha = 0; states checks a given dim
+        alpha = _as_complex(spec["alpha"], "alpha") if kind == "squeezed_coherent" else 0.0
+        xi = _as_complex(spec["xi"], "xi")
+        dim = _check_dim(dim or fock.tail_dim(states._squeezed_terms, (alpha, xi)), field)
+        return states.squeezed_coherent(alpha, xi, dim)
+    alpha = _as_complex(spec["alpha"], "alpha")  # phase and Kerr phase leave |c_n| coherent
+    dim = _check_dim(fock.tail_dim(states._coherent_terms, (alpha,), dim), field)
+    if kind == "coherent":
+        return states.coherent(alpha, dim)
+    if kind == "phase_modified":
+        return states.phase_modified_coherent(alpha, dim)
+    params = states.KerrParams(alpha=alpha, chi_t=_as_float(spec["chi_t"], "chi_t"))
+    return states.kerr_coherent(params, dim)
 
 
 def _load_config(path: Path | None) -> object:
@@ -186,13 +184,19 @@ def _cmd_g2(args) -> int:
         _check_keys(bs, {"R"}, {"phi"}, "beamsplitter spec")
         params = BeamsplitterParams(R=_as_float(bs["R"], "R"),
                                     phi=_as_float(bs.get("phi", 0.0), "phi"))
-        psi_a = build_state(cfg["state_a"], args.dim)
-        psi_b = build_state(cfg["state_b"], args.dim)
+        specs = cfg["state_a"], cfg["state_b"]
+        psi_a, psi_b = (build_state(spec, args.dim) for spec in specs)
         # The truncated rotation cuts every photon-number sector at the smaller
         # arm, so both arms share the larger truncation.  A populated sector cut
         # there leaves p_n normalized but wrong, so p_n must carry the moment g2.
         exact = psi_a.dim + psi_b.dim - 1  # holds every sector the arms populate
         dim = max(psi_a.dim, psi_b.dim)
+        # A dim fock.tail_dim picks holds its arm, not the longer tail two arms sum
+        # to, so a pair with such an arm is built at the exact truncation.
+        if args.dim is None and any(spec.get("dim") is None and spec["kind"] not in
+                                    ("fock", "vacuum_two_photon") for spec in specs):
+            dim = min(exact, MAX_DIM)
+            psi_a, psi_b = (build_state(spec, spec.get("dim") or dim) for spec in specs)
         psi_a, psi_b = psi_a.padded(dim), psi_b.padded(dim)
         g2, n_mean = beamsplitter.output_moments(psi_a, psi_b, params)
         joint = beamsplitter.mix(psi_a, psi_b, params)
@@ -247,7 +251,8 @@ def _cmd_figure(args) -> int:
     kwargs = {name: p.default for name, p in params.items()} | overrides
     if kwargs.get("dim_b", 0) is None:  # fig6's coherent arm picks a truncation per alpha
         alpha = max(abs(kwargs["alpha_lo"]), abs(kwargs["alpha_hi"]))
-        _check_dim(fock.default_dim(alpha), "truncation of fig6's coherent arm")
+        _check_dim(fock.tail_dim(states._coherent_terms, (alpha,)),
+                   "truncation of fig6's coherent arm")
     result = builder(**overrides)
     out_dir = Path(args.out)
     try:
@@ -274,21 +279,15 @@ def _selftest_checks(dim_override: int | None):
         resid = np.max(np.abs(comm[: dim - 1, : dim - 1] - np.eye(dim - 1)))
         return resid < 1e-10, f"commutator residual {resid:.2e}"
 
-    def wick_error(psi, alpha, xi):
-        """psi's <a>, <a^dag a>, <a^2> against the Wick closed forms of D(alpha) S(xi)|0>."""
-        a, r, phase = fock.annihilation(psi.dim), abs(xi), np.exp(1j * np.angle(xi))
+    def check_wick(alpha, xi):
+        """<a>, <a^dag a> and <a^2> of D(alpha) S(xi)|0> against their Wick closed forms."""
+        dim = dim_override or fock.tail_dim(states._squeezed_terms, (alpha, xi))
+        psi, a = states.squeezed_coherent(alpha, xi, dim), fock.annihilation(dim)
+        r, phase = abs(xi), np.exp(1j * np.angle(xi))
         got = [fock.expectation(psi, op) for op in (a, a.conj().T @ a, a @ a)]
         wick = [alpha, abs(alpha)**2 + np.sinh(r)**2, alpha**2 - phase * np.sinh(r) * np.cosh(r)]
         err = max(abs(g - w) for g, w in zip(got, wick))
-        return err < 1e-8, f"Wick moment error {err:.2e} at dim {psi.dim}"
-
-    def check_squeezed_vacuum_moments():
-        return wick_error(states.squeezed_vacuum(0.5, dim_override or 40), 0.0, 0.5)
-
-    def check_squeezed_coherent_moments():
-        alpha, xi = 1.0, 0.3j
-        dim = dim_override or fock.default_dim(alpha)
-        return wick_error(states.squeezed_coherent(alpha, xi, dim), alpha, xi)
+        return err < 1e-8, f"Wick moment error {err:.2e} at dim {dim}"
 
     def check_normalize_idempotent():
         raw = rng.normal(size=12) + 1j * rng.normal(size=12)
@@ -379,8 +378,8 @@ def _selftest_checks(dim_override: int | None):
 
     return [
         ("ladder_commutator", check_ladder),
-        ("squeezed_vacuum_moments", check_squeezed_vacuum_moments),
-        ("squeezed_coherent_moments", check_squeezed_coherent_moments),
+        ("squeezed_vacuum_moments", lambda: check_wick(0.0, 0.5)),
+        ("squeezed_coherent_moments", lambda: check_wick(1.0, 0.3j)),
         ("normalize_idempotent", check_normalize_idempotent),
         ("coeff_vs_operator_g2", check_coeff_vs_operator),
         ("hom_coincidence", check_hom),

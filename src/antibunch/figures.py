@@ -32,7 +32,7 @@ import numpy as np
 from . import lindblad, optimize, states
 from .beamsplitter import _ladder_moments, _moment_g2, _scalar_g2
 from .beamsplitter import output_moments  # noqa: F401  (still importable from here)
-from .fock import default_dim, squeeze_dim
+from .fock import tail_dim
 from .optimize import Axis, SweepSpec
 
 
@@ -146,16 +146,15 @@ def cat_mix(alpha_sch, alpha, parity=1, R=0.5, phi=0.5, dim=16):
 def squeezed_mix(r=0.05, alpha=0.5, phi=1.0, R=0.1, omega=0.0, dim_a=None, dim_b=None):
     """g2 of output A: squeezed vacuum (xi = r e^{i omega}) vs coherent.
 
-    omega is in radians (an internal state parameter, not an I/O phase).  dim_a
-    None takes max(24, squeeze_dim(r)), and dim_b None fock.default_dim(alpha),
-    per cell.
+    omega is in radians (an internal state parameter, not an I/O phase).  An arm
+    whose dim is None takes, per cell, the truncation fock.tail_dim picks for it.
     """
+    xi = r * np.exp(1j * omega)
     if dim_a is None:
-        dim_a = np.frompyfunc(lambda r: max(24, squeeze_dim(r)), 1, 1)(r)
+        dim_a = np.frompyfunc(lambda x: tail_dim(states._squeezed_terms, (0.0, x)), 1, 1)(xi)
     if dim_b is None:
-        dim_b = np.frompyfunc(default_dim, 1, 1)(alpha)
-    return _output(_squeezed, (0.0, r * np.exp(1j * omega), dim_a), _coherent, (alpha, dim_b),
-                   R, phi)
+        dim_b = np.frompyfunc(lambda a: tail_dim(states._coherent_terms, (a,)), 1, 1)(alpha)
+    return _output(_squeezed, (0.0, xi, dim_a), _coherent, (alpha, dim_b), R, phi)
 
 
 optimize.OBJECTIVE_REGISTRY.update(

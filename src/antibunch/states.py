@@ -14,7 +14,8 @@ Every kind has a private array form (_coherent_rows and its siblings): it
 takes 1-D parameter arrays and one truncation, returns the (cells, dim)
 amplitudes of every cell and refuses as the factory does, before any row is
 built.  The factory is its one-cell case, so a state built alone and the
-same cell of a batch agree bit for bit.
+same cell of a batch agree bit for bit.  Only the squeezed states check
+their truncation against fock.tail_dim; the CLI applies it to the others.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, TruncationError
-from .fock import _NORM_SLACK, FockVector, amplitude_dim, squeeze_dim
+from .errors import InvalidDimensionError
+from .fock import _NORM_SLACK, FockVector, tail_dim
 
 
 @dataclass(frozen=True)
@@ -131,28 +132,16 @@ def _roots(dim: int) -> tuple:  # sqrt(n) for n = 0, ..., dim - 1
     return tuple(np.sqrt(np.arange(dim)).tolist())
 
 
-def _squeezed_rows(alpha: np.ndarray, xi: np.ndarray, dim: int) -> np.ndarray:
-    """(cells, dim) amplitudes of D(alpha) S(xi) |0>, xi = r e^{i omega}.
+def _squeezed_terms(alpha: np.ndarray, xi: np.ndarray, dim: int) -> np.ndarray:
+    """(cells, dim) amplitudes of D(alpha) S(xi) |0>, xi = r e^{i omega}, before renormalization.
 
     With mu = cosh r, nu = e^{i omega} sinh r and gamma = mu alpha + nu conj(alpha),
     (mu a + nu a^dag) psi = gamma psi gives c_{n+1} = (gamma c_n - nu sqrt(n) c_{n-1})
     / (mu sqrt(n+1)) (Gerry & Knight, Introductory Quantum Optics, ch. 7).  c_0 takes
     only the phase of <0|D(alpha) S(xi)|0> = exp(-|alpha|^2/2 - conj(alpha)^2 e^{i omega}
-    tanh(r)/2) / sqrt(cosh r), so no large |alpha| overflows it; each truncated row
-    is normalized.  Refused in order: dim < 2, then per cell fock.amplitude_dim,
-    |xi| > 1.5 and fock.squeeze_dim.
+    tanh(r)/2) / sqrt(cosh r), so no large |alpha| overflows it.
     """
-    if dim < 2:
-        raise InvalidDimensionError(f"squeezed states need dim >= 2, got {dim}")
-    cells = list(zip(alpha.tolist(), xi.tolist()))
-    for a, x in cells:
-        amplitude_dim(a, dim)
-        if abs(x) > 1.5:
-            raise ValueError(f"squeeze magnitude {abs(x):.4g} outside supported range |xi| <= 1.5")
-        if dim < squeeze_dim(x):
-            raise TruncationError(f"squeeze |xi|={abs(x):.4g} unsafe at dim={dim}",
-                                  recommended_dim=squeeze_dim(x))
-    roots, amps = _roots(dim), []
+    cells, roots, amps = list(zip(alpha.tolist(), xi.tolist())), _roots(dim), []
     for a, x in cells:
         mu, nu = math.cosh(abs(x)), cmath.rect(math.sinh(abs(x)), cmath.phase(x))
         gamma = mu * a + nu * a.conjugate()
@@ -161,7 +150,18 @@ def _squeezed_rows(alpha: np.ndarray, xi: np.ndarray, dim: int) -> np.ndarray:
         for n, n_plus in zip(roots, roots[1:]):  # sqrt(n), sqrt(n + 1)
             c, before = (gamma * c - nu * n * before) / (mu * n_plus), c
             amps.append(c)
-    return _normalized(np.array(amps, dtype=complex).reshape(len(cells), dim))
+    return np.array(amps, dtype=complex).reshape(len(cells), dim)
+
+
+def _squeezed_rows(alpha: np.ndarray, xi: np.ndarray, dim: int) -> np.ndarray:
+    """Normalized _squeezed_terms; refuses dim < 2, then per cell |xi| > 1.5 and fock.tail_dim."""
+    if dim < 2:
+        raise InvalidDimensionError(f"squeezed states need dim >= 2, got {dim}")
+    for a, x in zip(alpha.tolist(), xi.tolist()):
+        if abs(x) > 1.5:
+            raise ValueError(f"squeeze magnitude {abs(x):.4g} outside supported range |xi| <= 1.5")
+        tail_dim(_squeezed_terms, (a, x), dim)
+    return _normalized(_squeezed_terms(alpha, xi, dim))
 
 
 def coherent(alpha: complex, dim: int) -> FockVector:

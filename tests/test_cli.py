@@ -59,18 +59,19 @@ class TestBuildState:
         assert psi.dim == 11
 
     @pytest.mark.parametrize(
-        "spec",
-        [{"kind": "coherent", "alpha": 1.5}, {"kind": "phase_modified", "alpha": [0.0, 1.5]},
-         {"kind": "kerr_coherent", "alpha": 1.5, "chi_t": 0.05},
-         {"kind": "cat", "alpha_sch": 1.5, "parity": 1}],
+        "spec, dim",
+        [({"kind": "coherent", "alpha": 1.5}, 21),
+         ({"kind": "phase_modified", "alpha": [0.0, 1.5]}, 21),
+         ({"kind": "kerr_coherent", "alpha": 1.5, "chi_t": 0.05}, 21),
+         ({"kind": "cat", "alpha_sch": 1.5, "parity": 1}, 21)],
         ids=["coherent", "phase_modified", "kerr_coherent", "cat"],
     )
-    def test_amplitude_truncation_rule(self, spec):
-        # fock.amplitude_dim's rule |alpha|^2 <= dim/4: alpha = 1.5 fits dim 9, not 8.
-        assert cli.build_state({**spec, "dim": 9}).dim == 9
+    def test_amplitude_truncation_rule(self, spec, dim):
+        # fock.tail_dim: |alpha| = 1.5 fits dim 21, the even cat too, not one level fewer.
+        assert cli.build_state({**spec, "dim": dim}).dim == dim
         with pytest.raises(TruncationError) as err:
-            cli.build_state({**spec, "dim": 8})
-        assert err.value.recommended_dim == fock.default_dim(1.5)
+            cli.build_state({**spec, "dim": dim - 1})
+        assert err.value.recommended_dim == dim
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="unknown state kind"):
@@ -111,7 +112,8 @@ class TestG2Command:
 
     def test_pair_with_unequal_default_truncations(self, tmp_path, capsys):
         # the two-photon arm defaults to 3 levels and the coherent arm to
-        # 18; g2 must not depend on the smaller arm's truncation
+        # 11, so the pair is mixed at 13; g2 must not depend on the smaller
+        # arm's truncation
         from antibunch import states
         from antibunch.beamsplitter import BeamsplitterParams, output_moments
 
@@ -131,7 +133,7 @@ class TestG2Command:
         assert g2 == pytest.approx(1.10780147178268, abs=1e-10)
         assert report["g2"] == pytest.approx(g2, abs=1e-10)
         assert report["n_mean"] == pytest.approx(n_mean, abs=1e-10)
-        assert len(report["p_n"]) == 18
+        assert len(report["p_n"]) == 13
         assert sum(report["p_n"]) == pytest.approx(1.0, abs=1e-10)
 
     def test_pretty_flag(self, tmp_path, capsys):
@@ -268,6 +270,53 @@ class TestG2PairCutDistribution:
         assert g2_of_p == pytest.approx(g2, rel=1e-12, abs=0)
 
 
+    def test_broad_squeeze_against_a_coherent_arm_runs_at_defaults(self, tmp_path):
+        # fock.tail_dim gives the r = 1.2 squeeze 167 levels and the coherent
+        # arm 9, so the pair is built at 175, where p_n carries g2 (the
+        # earlier rules refused it at 44 levels, then at 59).  Run in its own
+        # process, which takes its 200 MB of sector eigenvectors with it.
+        cfg = write_config(tmp_path, {"state_a": {"kind": "squeezed_vacuum", "xi": [0, 1.2]},
+                                      "state_b": {"kind": "coherent", "alpha": 0.3},
+                                      "beamsplitter": {"R": 0.3873, "phi": 0.3}})
+        proc = subprocess.run([sys.executable, "-m", "antibunch.cli", "g2", "--config", str(cfg)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(proc.stdout)["p_n"]) == 175
+        g2, g2_of_p = g2_of_printed(proc.stdout)
+        assert g2_of_p == pytest.approx(g2, rel=1e-9, abs=0)
+
+
+class TestTruncationRule:
+    """fock.tail_dim's cases from the truncation baseline: each refused or exact."""
+
+    def test_coherent_cut_at_four_levels_is_refused(self, tmp_path, capsys):
+        # the old rule |alpha|^2 <= dim/4 let this through as g2 = 0.853
+        cfg = write_config(tmp_path, {"state": {"kind": "coherent", "alpha": 1.0, "dim": 4}})
+        assert cli.main(["g2", "--config", str(cfg)]) == 3
+        assert "retry with dim >= 16" in capsys.readouterr().err
+
+    def test_alpha_7_runs_at_its_default(self, tmp_path, capsys):
+        # refused at the old default of 512 levels; fock.tail_dim takes 106
+        cfg = write_config(tmp_path, {"state": {"kind": "coherent", "alpha": 7}})
+        assert cli.main(["g2", "--config", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["p_n"]) == 106
+        assert report["g2"] == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("r", [1.0, 1.2])
+    def test_squeezed_vacuum_at_its_default_is_exact(self, tmp_path, capsys, r):
+        cfg = write_config(tmp_path, {"state": {"kind": "squeezed_vacuum", "xi": r}})
+        assert cli.main(["g2", "--config", str(cfg)]) == 0
+        g2 = json.loads(capsys.readouterr().out)["g2"]
+        assert g2 == pytest.approx(3.0 + 1.0 / np.sinh(r) ** 2, rel=0, abs=1e-9)
+
+    def test_squeezed_vacuum_beyond_max_dim_is_refused(self, tmp_path, capsys):
+        # r = 1.5 needs 305 levels, above cli.MAX_DIM
+        cfg = write_config(tmp_path, {"state": {"kind": "squeezed_vacuum", "xi": 1.5}})
+        assert cli.main(["g2", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith("config error: truncation of the ")
+
+
 class TestRefusedValues:
     # Each value is one the library refuses; the CLI reports it as a
     # one-line config error (exit 3), never as a traceback or a silent default.
@@ -327,7 +376,7 @@ class TestRefusedValues:
         ids=["coherent-pair-alpha-12", "fock-n-500", "squeezed_vacuum-xi-10"],
     )
     def test_default_truncation_above_limit(self, tmp_path, capsys, monkeypatch, config):
-        # A spec with no dim picks its own truncation (1352, 501 and 220
+        # A spec with no dim picks its own truncation (234, 501 and 4096
         # here); it is bounded like a given one, before any state is built.
         def unbuilt(*args):
             raise AssertionError("a state was built")
@@ -340,13 +389,13 @@ class TestRefusedValues:
         assert err.startswith("config error: truncation of the ") and err.count("\n") == 1
 
     def test_default_truncation_at_limit_runs(self, tmp_path, capsys):
-        # alpha = 4 picks dim 8 (1 + 4)^2 = 200, the limit itself.
-        cfg = write_config(tmp_path, {"state": {"kind": "coherent", "alpha": 4}})
+        # alpha = 10.85 picks fock.tail_dim = 200, the limit itself.
+        cfg = write_config(tmp_path, {"state": {"kind": "coherent", "alpha": 10.85}})
         assert cli.main(["g2", "--config", str(cfg)]) == 0
         assert len(json.loads(capsys.readouterr().out)["p_n"]) == cli.MAX_DIM
 
     def test_huge_cat_amplitude_in_a_pair(self, tmp_path, capsys):
-        # (1 + |alpha|)^2 overflows a float: refused, not an OverflowError
+        # |alpha|^2 overflows a float: refused, not an OverflowError
         cfg = write_config(tmp_path, {
             "state_a": {"kind": "cat", "alpha_sch": 1e200, "parity": 1},
             "state_b": {"kind": "coherent", "alpha": 0.3},
@@ -377,11 +426,11 @@ class TestRefusedValues:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not list(tmp_path.glob(f"{name}.*"))
 
-    @pytest.mark.parametrize("alpha_hi", [4.01, 1e30], ids=["alpha_hi-4.01", "alpha_hi-1e30"])
+    @pytest.mark.parametrize("alpha_hi", [10.9, 1e30], ids=["alpha_hi-10.9", "alpha_hi-1e30"])
     def test_fig6_coherent_truncation_above_limit(self, tmp_path, capsys, monkeypatch, alpha_hi):
-        # With dim_b None fig6's coherent arm picks default_dim(alpha) per
-        # cell (up to 201 and 8.00e+60 here); the largest is bounded before
-        # any state is built.
+        # With dim_b None fig6's coherent arm picks fock.tail_dim per cell (up
+        # to 202 here, and 4096, the search's depth, where the amplitudes
+        # overflow); the largest is bounded before any state is built.
         def unbuilt(*args):
             raise AssertionError("a state was built")
 
@@ -394,8 +443,8 @@ class TestRefusedValues:
         assert not list(tmp_path.glob("fig6.*"))
 
     def test_fig6_coherent_truncation_at_limit_runs(self, tmp_path):
-        # fig6's default alpha_hi = 4 picks dim 8 (1 + 4)^2 = 200, the limit itself.
-        cfg = write_config(tmp_path, {"r_count": 2, "alpha_count": 3})
+        # alpha_hi = 10.85 picks fock.tail_dim = 200, the limit itself.
+        cfg = write_config(tmp_path, {"r_count": 2, "alpha_count": 3, "alpha_hi": 10.85})
         assert cli.main(["figure", "fig6", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "fig6.csv").exists()
 

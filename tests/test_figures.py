@@ -255,10 +255,10 @@ BATCHED_ARMS = {
                    states.vacuum_two_photon),
     "cat": (figures._cat, st.tuples(st.floats(1e-9, 1.5), st.sampled_from([1, -1]), _DIMS),
             lambda alpha_sch, parity, dim: states.cat_state(CatParams(alpha_sch, parity), dim)),
-    # |alpha|^2 <= dim/4 and dim >= squeeze_dim(xi) = ceil(20 (1 + |xi|)) hold in every cell
+    # fock.tail_dim asks at most 76 levels of a cell with |alpha| <= 2 and |xi| <= 0.6
     "squeezed": (figures._squeezed, st.tuples(st.complex_numbers(max_magnitude=2.0),
                                               st.complex_numbers(max_magnitude=0.6),
-                                              st.sampled_from([33, 48])),
+                                              st.sampled_from([96, 112])),
                  states.squeezed_coherent),
 }
 
@@ -307,8 +307,8 @@ class TestBatchedArms:
          lambda: states.squeezed_coherent(3.0, 0.1, 24)),
     ], ids=["c2-above-1", "c2-below-0", "two_photon-dim-2", "phase_modified-dim-2",
             "coherent-dim-1", "kerr-dim-1", "cat-dim-1", "parity-2", "odd-cat-at-0",
-            "squeezed-dim-1", "squeeze-above-1.5", "squeezed-below-squeeze_dim",
-            "squeezed-below-amplitude_dim"])
+            "squeezed-dim-1", "squeeze-above-1.5", "squeezed-below-its-squeeze-tail",
+            "squeezed-below-its-amplitude-tail"])
     def test_refusals_match_the_factory_and_cache_nothing(self, form, arrays, scalar):
         with pytest.raises(Exception) as refused:
             scalar()

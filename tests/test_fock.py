@@ -20,8 +20,8 @@ class TestLadderOperators:
         assert np.count_nonzero(a) == 4
 
     def test_number_operator(self):
-        n = fock.number(4)
-        assert np.array_equal(np.diag(n).real, [0.0, 1.0, 2.0, 3.0])
+        a = fock.annihilation(4)
+        np.testing.assert_allclose(a.conj().T @ a, np.diag([0.0, 1.0, 2.0, 3.0]), rtol=0, atol=1e-15)
 
     def test_commutator_identity_below_truncation(self):
         # [a, a+] = 1 exactly except in the top level, where truncation bites
@@ -35,8 +35,6 @@ class TestLadderOperators:
     def test_dimension_validation(self, bad):
         with pytest.raises(InvalidDimensionError):
             fock.annihilation(bad)
-        with pytest.raises(InvalidDimensionError):
-            fock.number(bad)
 
 
 class TestFockVector:
@@ -98,7 +96,7 @@ class TestTwoModeState:
 class TestDensityMatrix:
     def test_accepts_valid(self):
         rho = DensityMatrix(np.diag([0.6, 0.4]).astype(complex))
-        assert fock.expectation(rho, fock.number(2)) == pytest.approx(0.4)
+        assert fock.expectation(rho, np.diag([0.0, 1.0])) == pytest.approx(0.4)
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
@@ -133,40 +131,43 @@ class TestGaussianUnitaries:
             states.squeezed_vacuum(2.0, 64)
         with pytest.raises(TruncationError):
             states.squeezed_vacuum(0.5, 16)
-        # refused in order: the amplitude rule, the squeeze range, squeeze_dim
-        with pytest.raises(TruncationError):
-            states.squeezed_coherent(2.0, 2.0, 8)
+        # refused in order: the squeeze range, then the tail rule
         with pytest.raises(ValueError) as err:
-            states.squeezed_coherent(0.5, 2.0, 8)
+            states.squeezed_coherent(2.0, 2.0, 8)
         assert not isinstance(err.value, TruncationError)
+        with pytest.raises(TruncationError):
+            states.squeezed_coherent(2.0, 0.5, 8)
 
     @pytest.mark.parametrize("xi", [0.0, 0.05, 0.3j, 0.5 - 0.2j, 1.5])
-    def test_squeeze_dim_is_the_guard(self, xi):
-        dim = fock.squeeze_dim(xi)
-        for build in (states.squeezed_vacuum, lambda x, d: states.squeezed_coherent(0.5, x, d)):
-            build(xi, dim)
+    def test_tail_dim_is_the_squeeze_guard(self, xi):
+        for alpha in (0.0, 0.5) if xi else (0.5,):  # the vacuum holds no pair to cut
+            dim = fock.tail_dim(states._squeezed_terms, (alpha, xi))
+            states.squeezed_coherent(alpha, xi, dim)
             with pytest.raises(TruncationError) as err:
-                build(xi, dim - 1)
+                states.squeezed_coherent(alpha, xi, dim - 1)
             assert err.value.recommended_dim == dim
 
-    def test_default_dim(self):
-        assert fock.default_dim(0.0) == 16
-        assert fock.default_dim(1.0) == 32
+    def test_tail_dim(self):
+        coherent = states._coherent_terms
+        assert fock.tail_dim(coherent, (0.0,)) == 3  # the two-photon level is kept
+        assert fock.tail_dim(coherent, (0.0,), 2) == 2  # the vacuum holds no pair to cut
+        assert fock.tail_dim(coherent, (1.0,)) == 16
+        assert fock.tail_dim(coherent, (1.0,), 16) == 16
+        with pytest.raises(TruncationError) as err:
+            fock.tail_dim(coherent, (1.0,), 15)
+        assert err.value.recommended_dim == 16
         with pytest.raises(ValueError, match="no finite truncation"):
-            fock.default_dim(1e200)
+            fock.tail_dim(coherent, (1e200,))
+        # amplitudes that under- or overflow a float get the search's depth
+        assert fock.tail_dim(coherent, (40.0,)) == fock.tail_dim(coherent, (1e30,)) == 4096
 
 
 class TestTensorAndExpectation:
-    def test_lift_shapes(self):
-        op = fock.annihilation(3)
-        assert fock.lift_a(op, 4).shape == (12, 12)
-        assert fock.lift_b(op, 4).shape == (12, 12)
-
     def test_expectation_paths(self):
         psi = fock.basis(4, 2)
-        n = fock.number(4)
+        n = np.diag(np.arange(4.0))
         assert fock.expectation(psi, n) == pytest.approx(2.0)
         rho = DensityMatrix(np.diag([0.5, 0.5, 0, 0]).astype(complex))
         assert fock.expectation(rho, n) == pytest.approx(0.5)
         with pytest.raises(DimensionMismatchError):
-            fock.expectation(psi, fock.number(5))
+            fock.expectation(psi, np.diag(np.arange(5.0)))

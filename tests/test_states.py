@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from antibunch import fock, states
+from antibunch import cli, fock, states
 from antibunch.beamsplitter import g2_from_coeffs
+from antibunch.errors import ConfigError, TruncationError
 from antibunch.states import CatParams, KerrParams
 
 
@@ -160,14 +161,14 @@ class TestSqueezedStates:
     @given(r=st.floats(0.0, 1.5), omega=st.floats(0.0, 2.0 * math.pi),
            alpha=st.complex_numbers(max_magnitude=2.0))
     def test_matches_expm_reference_and_wick_moments(self, r, omega, alpha):
-        # Checked at the first dim the truncation rules allow above which less
+        # Checked at the first dim the truncation rule allows above which less
         # than 1e-14 of the population lies.  The 200-level reference is itself
         # converged to 1e-14 only for states that fit in its lowest 100 levels
         # (r up to about 1 here); broader squeezes are discarded.
         xi = cmath.rect(r, omega)
         reference = expm_reference(alpha, xi)
         tail = np.cumsum(np.abs(reference[::-1]) ** 2)[::-1]
-        floor = max(fock.squeeze_dim(xi), math.ceil(4.0 * abs(alpha) ** 2))
+        floor = fock.tail_dim(states._squeezed_terms, (alpha, xi))
         fits = np.flatnonzero(tail[floor:101] < 1e-14)
         assume(fits.size > 0)
         dim = floor + int(fits[0])
@@ -186,3 +187,58 @@ def expm_reference(alpha, xi, levels=200):
     ad = a.conj().T
     squeezed = expm(0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad)))[:, 0]
     return expm(alpha * ad - np.conj(alpha) * a) @ squeezed
+
+
+def _amplitude(magnitude, least=0.0):
+    """An [re, im] spec value of modulus in [least, magnitude], at any phase."""
+    return st.tuples(st.floats(least, magnitude), st.floats(0.0, 2.0 * math.pi)).map(
+        lambda p: [p[0] * math.cos(p[1]), p[0] * math.sin(p[1])])
+
+
+def _c(spec, key):
+    return complex(*spec[key])
+
+
+# Every kind of unbounded photon number: a strategy for its spec's parameters,
+# and its state rebuilt from the spec at a given truncation.
+TAIL_KINDS = {
+    "coherent": (st.fixed_dictionaries({"alpha": _amplitude(11.0)}),
+                 lambda s, d: states.coherent(_c(s, "alpha"), d)),
+    "phase_modified": (st.fixed_dictionaries({"alpha": _amplitude(11.0)}),
+                       lambda s, d: states.phase_modified_coherent(_c(s, "alpha"), d)),
+    "kerr_coherent": (st.fixed_dictionaries({"alpha": _amplitude(11.0),
+                                             "chi_t": st.floats(-1.0, 1.0)}),
+                      lambda s, d: states.kerr_coherent(KerrParams(_c(s, "alpha"), s["chi_t"]), d)),
+    "cat": (st.fixed_dictionaries({"alpha_sch": _amplitude(11.0, least=1e-3),
+                                   "parity": st.sampled_from([1, -1])}),
+            lambda s, d: states.cat_state(CatParams(_c(s, "alpha_sch"), s["parity"]), d)),
+    "squeezed_vacuum": (st.fixed_dictionaries({"xi": _amplitude(1.5)}),
+                        lambda s, d: states.squeezed_vacuum(_c(s, "xi"), d)),
+    "squeezed_coherent": (st.fixed_dictionaries({"alpha": _amplitude(3.0), "xi": _amplitude(1.5)}),
+                          lambda s, d: states.squeezed_coherent(_c(s, "alpha"), _c(s, "xi"), d)),
+}
+
+
+class TestTailRule:
+    @pytest.mark.parametrize("kind", sorted(TAIL_KINDS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_no_accepted_truncation_cuts_more_than_the_tail(self, kind, data):
+        # Every dim the CLI accepts leaves at most fock._TAIL of the population
+        # and of <a^dag^2 a^2> above it, summed on 2048 levels; one level fewer
+        # than its default is refused.
+        params, rebuild = TAIL_KINDS[kind]
+        spec = {"kind": kind, **data.draw(params)}
+        try:
+            default = cli.build_state(spec).dim
+        except ConfigError:  # a default truncation above cli.MAX_DIM
+            assume(False)
+        if default > 3:  # 3 levels hold a state of no pairs at all
+            with pytest.raises(TruncationError):
+                cli.build_state({**spec, "dim": default - 1})
+        dim = data.draw(st.integers(default, cli.MAX_DIM))
+        assert cli.build_state({**spec, "dim": dim}).dim == dim
+        p = rebuild(spec, 2048).probabilities()
+        pairs = np.arange(p.size) * np.arange(-1, p.size - 1) * p
+        assert p[dim:].sum() <= fock._TAIL
+        assert pairs[dim:].sum() <= fock._TAIL * pairs.sum()

@@ -32,7 +32,7 @@ from .fock import (
     TwoModeState,
     annihilation,
     basis,
-    tail_dim,
+    truncated,
 )
 
 __all__ = [
@@ -56,5 +56,5 @@ __all__ = [
     "output_g2",
     "output_g2_b",
     "output_moments",
-    "tail_dim",
+    "truncated",
 ]

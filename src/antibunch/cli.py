@@ -37,10 +37,10 @@ _STATE_FIELDS = {
 
 
 # The most Fock states the CLI takes for one truncated space: --dim, a spec's
-# dim or fock.tail_dim's pick, a figure's dim, dim_a, dim_b or dim_single or
-# fig6's picked coherent arm, and the joint space of fig7's dims_coupled.  A g2
-# pair at this dim holds 256 MB of sector eigenvectors; a much larger one would
-# exhaust memory before the library could refuse it.
+# dim or the levels fock.truncated returns for it, a figure's dim, dim_a, dim_b
+# or dim_single or fig6's picked coherent arm, and the joint space of fig7's
+# dims_coupled.  A g2 pair at this dim holds 256 MB of sector eigenvectors; a
+# much larger one would exhaust memory before the library could refuse it.
 MAX_DIM = 200
 
 
@@ -114,7 +114,7 @@ def build_state(spec: dict, dim_override: int | None = None) -> fock.FockVector:
     if dim is not None:
         _check_dim(dim, "dim")
     # dim is now None or an int >= 2, so `dim or default` defaults only a missing dim.
-    # A default truncation is bounded too, before the state's arrays are built.
+    # A default truncation is bounded too, before a state is made of it.
     field = f"truncation of the {kind!r} state"
 
     if kind == "fock":
@@ -130,21 +130,22 @@ def build_state(spec: dict, dim_override: int | None = None) -> fock.FockVector:
         parity = _as_int(spec["parity"], "parity")
         if parity not in (1, -1):
             raise ConfigError(f"'parity' must be +1 or -1, got {_brief(parity)}")
-        dim = _check_dim(fock.tail_dim(states._cat_rows, (alpha_sch, parity), dim), field)
-        return states.cat_state(states.CatParams(alpha_sch=alpha_sch, parity=parity), dim)
-    if kind.startswith("squeezed"):  # the vacuum is alpha = 0; states checks a given dim
+        form, params = states._cat_rows, (alpha_sch, parity)
+    elif kind.startswith("squeezed"):  # the vacuum is alpha = 0
         alpha = _as_complex(spec["alpha"], "alpha") if kind == "squeezed_coherent" else 0.0
         xi = _as_complex(spec["xi"], "xi")
-        dim = _check_dim(dim or fock.tail_dim(states._squeezed_terms, (alpha, xi)), field)
-        return states.squeezed_coherent(alpha, xi, dim)
-    alpha = _as_complex(spec["alpha"], "alpha")  # phase and Kerr phase leave |c_n| coherent
-    dim = _check_dim(fock.tail_dim(states._coherent_terms, (alpha,), dim), field)
-    if kind == "coherent":
-        return states.coherent(alpha, dim)
-    if kind == "phase_modified":
-        return states.phase_modified_coherent(alpha, dim)
-    params = states.KerrParams(alpha=alpha, chi_t=_as_float(spec["chi_t"], "chi_t"))
-    return states.kerr_coherent(params, dim)
+        if dim is not None:  # refused in states' order: the squeeze range, then the tail
+            return fock.FockVector(states._squeezed_rows(np.array([alpha]), np.array([xi]), dim)[0])
+        form, params = states._squeezed_terms, (alpha, xi)
+    else:  # coherent, phase-modified or Kerr
+        form, params = states._coherent_terms, (_as_complex(spec["alpha"], "alpha"),)
+        if kind == "phase_modified":
+            form = states._phase_modified_terms
+        elif kind == "kerr_coherent":
+            form, params = states._kerr_terms, (*params, _as_float(spec["chi_t"], "chi_t"))
+    amps = fock.truncated(form, params, dim)
+    _check_dim(amps.size, field)
+    return fock.FockVector(amps)
 
 
 def _load_config(path: Path | None) -> object:
@@ -190,14 +191,13 @@ def _cmd_g2(args) -> int:
         # arm, so both arms share the larger truncation.  A populated sector cut
         # there leaves p_n normalized but wrong, so p_n must carry the moment g2.
         exact = psi_a.dim + psi_b.dim - 1  # holds every sector the arms populate
-        dim = max(psi_a.dim, psi_b.dim)
-        # A dim fock.tail_dim picks holds its arm, not the longer tail two arms sum
-        # to, so a pair with such an arm is built at the exact truncation.
-        if args.dim is None and any(spec.get("dim") is None and spec["kind"] not in
-                                    ("fock", "vacuum_two_photon") for spec in specs):
-            dim = min(exact, MAX_DIM)
-            psi_a, psi_b = (build_state(spec, spec.get("dim") or dim) for spec in specs)
-        psi_a, psi_b = psi_a.padded(dim), psi_b.padded(dim)
+        # A dim fock.truncated picks holds its arm, not the longer tail two arms sum
+        # to, so such an arm is rebuilt at the exact truncation and the other padded.
+        picked = [args.dim is None and spec.get("dim") is None and spec["kind"] not in
+                  ("fock", "vacuum_two_photon") for spec in specs]
+        dim = min(exact, MAX_DIM) if any(picked) else max(psi_a.dim, psi_b.dim)
+        psi_a, psi_b = (build_state(spec, dim) if pick else psi.padded(dim)
+                        for spec, pick, psi in zip(specs, picked, (psi_a, psi_b)))
         g2, n_mean = beamsplitter.output_moments(psi_a, psi_b, params)
         joint = beamsplitter.mix(psi_a, psi_b, params)
         p_n = (np.abs(joint.as_matrix()) ** 2).sum(axis=1)
@@ -251,7 +251,7 @@ def _cmd_figure(args) -> int:
     kwargs = {name: p.default for name, p in params.items()} | overrides
     if kwargs.get("dim_b", 0) is None:  # fig6's coherent arm picks a truncation per alpha
         alpha = max(abs(kwargs["alpha_lo"]), abs(kwargs["alpha_hi"]))
-        _check_dim(fock.tail_dim(states._coherent_terms, (alpha,)),
+        _check_dim(fock.truncated(states._coherent_terms, (alpha,)).size,
                    "truncation of fig6's coherent arm")
     result = builder(**overrides)
     out_dir = Path(args.out)
@@ -281,8 +281,8 @@ def _selftest_checks(dim_override: int | None):
 
     def check_wick(alpha, xi):
         """<a>, <a^dag a> and <a^2> of D(alpha) S(xi)|0> against their Wick closed forms."""
-        dim = dim_override or fock.tail_dim(states._squeezed_terms, (alpha, xi))
-        psi, a = states.squeezed_coherent(alpha, xi, dim), fock.annihilation(dim)
+        psi = fock.FockVector(fock.truncated(states._squeezed_terms, (alpha, xi), dim_override))
+        dim, a = psi.dim, fock.annihilation(psi.dim)
         r, phase = abs(xi), np.exp(1j * np.angle(xi))
         got = [fock.expectation(psi, op) for op in (a, a.conj().T @ a, a @ a)]
         wick = [alpha, abs(alpha)**2 + np.sinh(r)**2, alpha**2 - phase * np.sinh(r) * np.cosh(r)]

@@ -8,7 +8,8 @@ stable names so sweep specs can name them.  Each input arm's moment table
 is built once per distinct argument tuple and cached, so a refinement that
 moves only the splitter, or only one arm, rebuilds nothing else.  The
 tables an objective call lacks are built together, one array pass per
-truncation, by the arm's array form in states, which every arm has.  Given
+truncation, by the arm's array form in states normalized by fock._normalized;
+an arm without a dim takes the one fock.truncated picks per cell.  Given
 open-grid arrays the objectives evaluate the whole map as one array
 expression, with NaN on dark cells; given scalars they return floats and
 raise VacuumOutputError on a dark output.  A scalar call is a batch of one,
@@ -32,7 +33,7 @@ import numpy as np
 from . import lindblad, optimize, states
 from .beamsplitter import _ladder_moments, _moment_g2, _scalar_g2
 from .beamsplitter import output_moments  # noqa: F401  (still importable from here)
-from .fock import tail_dim
+from .fock import _normalized, truncated
 from .optimize import Axis, SweepSpec
 
 
@@ -63,7 +64,7 @@ def _meta(name: str, params: dict, t0: float, extra: dict | None = None) -> dict
 # Input arms: the array forms of states, each taking 1-D parameter arrays and one
 # truncation.  A cell is the arm's argument tuple, truncation last.
 _coherent, _phase_modified, _kerr, _two_photon, _cat, _squeezed = (
-    states._coherent_rows, states._phase_modified_rows, states._kerr_rows,
+    states._coherent_terms, states._phase_modified_terms, states._kerr_terms,
     states._two_photon_rows, states._cat_rows, states._squeezed_rows)
 
 
@@ -72,7 +73,8 @@ def _build(form, cells: list) -> list:
     tables = {}
     for dim in dict.fromkeys(cell[-1] for cell in cells):
         group = [cell for cell in cells if cell[-1] == dim]
-        moments = _ladder_moments(form(*map(np.array, list(zip(*group))[:-1]), int(dim)))
+        amps = _normalized(form(*map(np.array, list(zip(*group))[:-1]), int(dim)))
+        moments = _ladder_moments(amps)
         moments.setflags(write=False)
         tables.update(zip(group, moments))
     return [tables[cell] for cell in cells]
@@ -147,13 +149,13 @@ def squeezed_mix(r=0.05, alpha=0.5, phi=1.0, R=0.1, omega=0.0, dim_a=None, dim_b
     """g2 of output A: squeezed vacuum (xi = r e^{i omega}) vs coherent.
 
     omega is in radians (an internal state parameter, not an I/O phase).  An arm
-    whose dim is None takes, per cell, the truncation fock.tail_dim picks for it.
+    whose dim is None takes, per cell, the truncation fock.truncated picks for it.
     """
     xi = r * np.exp(1j * omega)
     if dim_a is None:
-        dim_a = np.frompyfunc(lambda x: tail_dim(states._squeezed_terms, (0.0, x)), 1, 1)(xi)
+        dim_a = np.frompyfunc(lambda x: truncated(states._squeezed_terms, (0.0, x)).size, 1, 1)(xi)
     if dim_b is None:
-        dim_b = np.frompyfunc(lambda a: tail_dim(states._coherent_terms, (a,)), 1, 1)(alpha)
+        dim_b = np.frompyfunc(lambda a: truncated(states._coherent_terms, (a,)).size, 1, 1)(alpha)
     return _output(_squeezed, (0.0, xi, dim_a), _coherent, (alpha, dim_b), R, phi)
 
 

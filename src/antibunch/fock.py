@@ -3,9 +3,9 @@
 All objects live in a photon-number basis truncated at ``dim`` levels
 (occupations 0 .. dim-1).  Operators are plain complex numpy arrays; state
 containers are immutable.  Two-mode amplitudes are stored flat, row-major
-over mode a: index = n_a * dim_b + n_b (the np.kron convention).  tail_dim
-is the one truncation rule for states of unbounded photon number: it picks
-or checks a dim from the tail of the state's own amplitudes.
+over mode a: index = n_a * dim_b + n_b (the np.kron convention).  truncated
+is the one truncation rule for states of unbounded photon number, cutting one
+build of their amplitudes, and _normalized the one place they are normalized.
 """
 
 from __future__ import annotations
@@ -22,6 +22,16 @@ from .errors import (
 # Relative tolerance below which a state counts as already normalized; keeps
 # normalize() exactly idempotent (second call returns the same object).
 _NORM_SLACK = 1e-12
+
+
+def _normalized(amps: np.ndarray) -> np.ndarray:
+    """Each row over its norm, in place; a row within _NORM_SLACK of norm 1 is kept as is."""
+    norms = np.sqrt(np.add.reduce((amps.conj() * amps).real, axis=1)).tolist()
+    scale = [n if abs(n - 1.0) >= _NORM_SLACK else 1.0 for n in norms]  # x / 1.0 is x
+    if 0.0 in scale:
+        raise ValueError("cannot normalize the zero vector")
+    amps /= np.array(scale)[:, np.newaxis]
+    return amps
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -163,42 +173,41 @@ def basis(dim: int, n: int = 0) -> FockVector:
 # it).  A population share bounds no g2: coherent alpha = 0.001 cut at dim 3
 # leaves out 1.7e-19 of its population, and its g2 1e-6 off.
 _TAIL = 1e-11
-# The tail search builds at most this many levels.  A state still populated there
-# (|xi| far beyond 1.5), or whose amplitudes under- or overflow, gets this many.
+# The tail search builds at most this many levels, or a given dim beyond them.  A
+# state still populated there (|xi| far beyond 1.5), or whose amplitudes under- or
+# overflow, gets this many.
 _DEEPEST = 4096
-_PAIRS = np.arange(_DEEPEST, dtype=float) * np.arange(-1.0, _DEEPEST - 1)  # n(n-1)
 
 
-def tail_dim(form, params: tuple, dim: int | None = None) -> int:
-    """Smallest dim cutting at most _TAIL of a state's <a^dag^2 a^2>, or the given dim if it does.
+def truncated(form, params: tuple, dim: int | None = None) -> np.ndarray:
+    """A state's first dim levels, normalized; dim defaults to the fewest that cut at most _TAIL.
 
-    form, an amplitude form of antibunch.states, maps 1-element parameter arrays
-    and a truncation to (1, truncation) amplitudes, normalized or not.  It is
-    built at twice dim (or 32), doubling until the top half holds under 1e-3 of
-    _TAIL, and the share above each level is summed from the smallest terms up.
-    The result keeps the two-photon level, where g2 is read.  A dim cutting more
-    is refused with a TruncationError naming the smallest that does not.
+    form, an amplitude form of antibunch.states, maps 1-element parameter arrays and a
+    truncation to (1, truncation) amplitudes whose first levels do not depend on it.  It is
+    built at twice dim (or 32), doubling until the top half holds under 1e-3 of _TAIL, and
+    the share of <a^dag^2 a^2> above each level is summed from the smallest terms up.  The
+    default keeps the two-photon level, where g2 is read; a given dim cutting more is
+    refused, naming the default.  Under- or overflowing amplitudes get _DEEPEST levels.
     """
-    size = min(2 * max(dim or 0, 16), _DEEPEST)
+    size = min(2 * max(dim or 0, 16), max(dim or 0, _DEEPEST))
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
             while True:
-                p = np.abs(form(*map(np.atleast_1d, params), size)[0]) ** 2
-                above = np.cumsum((_PAIRS[:size] * p)[::-1])[::-1]  # pairs at levels >= each
+                amps = form(*map(np.atleast_1d, params), size)
+                p = np.abs(amps[0]) ** 2
+                above = np.cumsum((np.arange(size) * np.arange(-1.0, size - 1) * p)[::-1])[::-1]
                 settled = ((above[0] > 0 or p.any())  # not on an under- or overflow
                            and above[size // 2] <= 1e-3 * _TAIL * above[0] < np.inf)
-                if settled or size == _DEEPEST or not above[0] < np.inf:
+                if settled or size >= _DEEPEST:
                     break
                 size = min(2 * size, _DEEPEST)
+            need = max(3, int(np.count_nonzero(above > _TAIL * above[0]))) if settled else _DEEPEST
+            if dim is not None and (not settled or dim < size and above[dim] > _TAIL * above[0]):
+                raise TruncationError(f"dim={dim} cuts over {_TAIL:g} of the state's "
+                                      "<a^dag^2 a^2>", recommended_dim=need)
+            return _normalized(amps[:, :need if dim is None else dim])[0]
     except OverflowError:
         raise ValueError(f"amplitude {max(params, key=abs)} has no finite truncation") from None
-    if dim is not None and settled and (dim >= size or above[dim] <= _TAIL * above[0]):
-        return dim
-    need = max(3, int(np.count_nonzero(above > _TAIL * above[0]))) if settled else _DEEPEST
-    if dim is not None:
-        raise TruncationError(f"dim={dim} cuts over {_TAIL:g} of the state's <a^dag^2 a^2>",
-                              recommended_dim=need)
-    return need
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ that its population above K is negligible against the measured intensity.
 On a uniform tau grid of step h, a small ladder's exact one-step
 propagator e^{hL} is formed once by expm_multiply (Al-Mohy and Higham,
 SIAM J. Sci. Comput. 33, 488 (2011)) on the identity, and each grid point
-is one matrix-vector product from the last.  A larger ladder, whose step
-would cost more to form than it saves (or not fit in memory), takes one
-interval-mode expm_multiply call.
+is one matrix-vector product from the last.  A larger ladder, or one of over
+twice as many unknowns as the grid has steps, whose step would cost more to
+form than it saves (or not fit in memory), takes one interval-mode
+expm_multiply call.
 
 Steady states come from one of two kernels: the banded LU for small
 single-mode models, the operator-form GMRES for everything else.
@@ -461,7 +462,9 @@ _LADDER_TAIL = 1e-14
 # cost grows as N^2 while the interval-mode call's is nearly flat in N.
 # The limit is the measured crossover (README, g2_tau): on 201-point grids
 # the formed step won at N <= 324, tied or won at 361 and 400, and lost at
-# 441 on every model tried.
+# 441 on every model tried.  Its build does N columns of work per step, so a
+# grid of n points takes it only at N <= 2 (n - 1), where fig7's coupled dip
+# (N = 225) crosses over; single-mode ladders cross later (N = 144 near 7 (n - 1)).
 _FORMED_STEP_LIMIT = 400
 
 
@@ -475,8 +478,8 @@ def g2_tau(
     d rho_ss d+ is propagated on the steady state's excitation ladder: the
     product states of total Fock number <= K, with K the smallest shell
     above which rho_ss holds at most _LADDER_TAIL * n_ss of its population.
-    A ladder of up to _FORMED_STEP_LIMIT unknowns is walked by its one-step
-    propagator P = e^{hL}, h = tau_max / (n - 1), formed by one
+    A ladder of up to _FORMED_STEP_LIMIT and 2 (n - 1) unknowns is walked by
+    its one-step propagator P = e^{hL}, h = tau_max / (n - 1), formed by one
     expm_multiply call on the identity: g2(tau_k) reads P^k times the seed,
     one matrix-vector product per point.  A larger ladder takes one
     interval-mode expm_multiply call over the whole grid.
@@ -500,7 +503,7 @@ def g2_tau(
     ix = np.ix_(keep, keep)
     lio = _superoperator(_drift(model)[ix], [c[ix] for c in model.collapse_ops])
     y = seed[ix].reshape(-1) / n_ss
-    if y.size > _FORMED_STEP_LIMIT:
+    if y.size > min(_FORMED_STEP_LIMIT, 2 * (tau.size - 1)):
         states = expm_multiply(lio, y, start=0.0, stop=tau[-1], num=tau.size,
                                endpoint=True, traceA=lio.trace())
     else:

@@ -10,12 +10,14 @@ Amplitude conventions:
 * cat:                 N (|alpha> + parity |-alpha>), exact N
 * squeezed coherent:   D(alpha) S(xi) |0>, from its three-term amplitude recursion
 
-Every kind has a private array form (_coherent_rows and its siblings): it
+Every kind has a private array form (_coherent_terms and its siblings): it
 takes 1-D parameter arrays and one truncation, returns the (cells, dim)
-amplitudes of every cell and refuses as the factory does, before any row is
-built.  The factory is its one-cell case, so a state built alone and the
-same cell of a batch agree bit for bit.  Only the squeezed states check
-their truncation against fock.tail_dim; the CLI applies it to the others.
+amplitudes of every cell and refuses as the factory does.  The factory is its
+one-cell case over fock._normalized, so a state built alone and the same cell
+of a batch agree bit for bit.  A form's first levels do not depend on the
+truncation, so fock.truncated cuts one build of it where the state's tail
+allows.  Only the squeezed states check their truncation by it; the CLI
+applies it to the others.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimensionError
-from .fock import _NORM_SLACK, FockVector, tail_dim
+from .fock import FockVector, _normalized, truncated
 
 
 @dataclass(frozen=True)
@@ -70,32 +72,17 @@ def _coherent_terms(alpha: np.ndarray, dim: int) -> np.ndarray:
     return np.cumprod(steps, axis=1)[:, ::2] * scale[:, np.newaxis]
 
 
-def _normalized(amps: np.ndarray) -> np.ndarray:
-    """Each row over its norm; a row within FockVector.normalize's slack of 1 is kept as is."""
-    norms = np.sqrt(np.add.reduce((amps.conj() * amps).real, axis=1)).tolist()
-    scale = [n if abs(n - 1.0) >= _NORM_SLACK else 1.0 for n in norms]  # x / 1.0 is x
-    if 0.0 in scale:
-        raise ValueError("cannot normalize the zero vector")
-    amps /= np.array(scale)[:, np.newaxis]
-    return amps
-
-
-def _coherent_rows(alpha: np.ndarray, dim: int) -> np.ndarray:
-    return _normalized(_coherent_terms(alpha, dim))
-
-
-def _phase_modified_rows(alpha: np.ndarray, dim: int) -> np.ndarray:
+def _phase_modified_terms(alpha: np.ndarray, dim: int) -> np.ndarray:
     if dim < 3:
         raise InvalidDimensionError("phase-modified state needs dim >= 3")
     amps = _coherent_terms(alpha, dim)
     amps[:, 2] *= 1j
-    return _normalized(amps)
+    return amps
 
 
-def _kerr_rows(alpha: np.ndarray, chi_t: np.ndarray, dim: int) -> np.ndarray:
+def _kerr_terms(alpha: np.ndarray, chi_t: np.ndarray, dim: int) -> np.ndarray:
     n = np.arange(dim)
-    phase = np.exp(-1j * chi_t[:, np.newaxis] * (n * n - n))
-    return _normalized(_coherent_terms(alpha, dim) * phase)
+    return _coherent_terms(alpha, dim) * np.exp(-1j * chi_t[:, np.newaxis] * (n * n - n))
 
 
 def _two_photon_rows(c2: np.ndarray, dim: int) -> np.ndarray:
@@ -154,29 +141,30 @@ def _squeezed_terms(alpha: np.ndarray, xi: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _squeezed_rows(alpha: np.ndarray, xi: np.ndarray, dim: int) -> np.ndarray:
-    """Normalized _squeezed_terms; refuses dim < 2, then per cell |xi| > 1.5 and fock.tail_dim."""
+    """fock.truncated's _squeezed_terms; refuses dim < 2, then |xi| > 1.5, then a cut tail."""
     if dim < 2:
         raise InvalidDimensionError(f"squeezed states need dim >= 2, got {dim}")
-    for a, x in zip(alpha.tolist(), xi.tolist()):
-        if abs(x) > 1.5:
-            raise ValueError(f"squeeze magnitude {abs(x):.4g} outside supported range |xi| <= 1.5")
-        tail_dim(_squeezed_terms, (a, x), dim)
-    return _normalized(_squeezed_terms(alpha, xi, dim))
+    outside = np.abs(xi)[np.abs(xi) > 1.5]
+    if outside.size:
+        raise ValueError(f"squeeze magnitude {outside[0]:.4g} outside supported range |xi| <= 1.5")
+    cells = zip(alpha.tolist(), xi.tolist())
+    return np.array([truncated(_squeezed_terms, cell, dim) for cell in cells]).reshape(-1, dim)
 
 
 def coherent(alpha: complex, dim: int) -> FockVector:
     """Truncated coherent state, renormalized after truncation."""
-    return FockVector(_coherent_rows(np.array([alpha]), dim)[0])
+    return FockVector(_normalized(_coherent_terms(np.array([alpha]), dim))[0])
 
 
 def phase_modified_coherent(alpha: complex, dim: int) -> FockVector:
     """Coherent state whose two-photon amplitude is rotated by pi/2."""
-    return FockVector(_phase_modified_rows(np.array([alpha]), dim)[0])
+    return FockVector(_normalized(_phase_modified_terms(np.array([alpha]), dim))[0])
 
 
 def kerr_coherent(params: KerrParams, dim: int) -> FockVector:
     """Coherent state after a Kerr medium: c_n -> c_n e^{-i chi_t (n^2 - n)}."""
-    return FockVector(_kerr_rows(np.array([params.alpha]), np.array([params.chi_t]), dim)[0])
+    amps = _kerr_terms(np.array([params.alpha]), np.array([params.chi_t]), dim)
+    return FockVector(_normalized(amps)[0])
 
 
 def vacuum_two_photon(c2: float, dim: int = 3) -> FockVector:
@@ -190,7 +178,8 @@ def cat_state(params: CatParams, dim: int) -> FockVector:
     Only the parity's photon-number branch survives (even n for +1, odd n
     for -1).  The odd cat is undefined at alpha_sch = 0.
     """
-    return FockVector(_cat_rows(np.array([params.alpha_sch]), np.array([params.parity]), dim)[0])
+    amps = _cat_rows(np.array([params.alpha_sch]), np.array([params.parity]), dim)
+    return FockVector(_normalized(amps)[0])
 
 
 def squeezed_vacuum(xi: complex, dim: int) -> FockVector:

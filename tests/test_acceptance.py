@@ -29,7 +29,7 @@ from antibunch.figures import (
     squeezed_mix,
     two_photon_mix,
 )
-from antibunch.fock import FockVector, tail_dim
+from antibunch.fock import FockVector, truncated
 from antibunch.lindblad import (
     build_coupled_cavities,
     build_single_kerr,
@@ -392,7 +392,7 @@ def test_11_truncation_convergence(tuned_single):
     f6 = lambda da, db: squeezed_mix(
         r=r_star, alpha=a_star, phi=1.0, R=0.1, omega=0.0, dim_a=da, dim_b=db
     )[0]
-    db = tail_dim(states._coherent_terms, (a_star,))
+    db = truncated(states._coherent_terms, (a_star,)).size
     checks.append(("squeezed-map min g2", f6(24, db), f6(32, db + 8)))
 
     mix_s = tuned_single["mix"]

@@ -67,7 +67,7 @@ class TestBuildState:
         ids=["coherent", "phase_modified", "kerr_coherent", "cat"],
     )
     def test_amplitude_truncation_rule(self, spec, dim):
-        # fock.tail_dim: |alpha| = 1.5 fits dim 21, the even cat too, not one level fewer.
+        # fock.truncated: |alpha| = 1.5 fits dim 21, the even cat too, not one level fewer.
         assert cli.build_state({**spec, "dim": dim}).dim == dim
         with pytest.raises(TruncationError) as err:
             cli.build_state({**spec, "dim": dim - 1})
@@ -187,6 +187,48 @@ def pair_moments(tmp_path, capsys, state_a, state_b, R):
     return report["g2"], report["n_mean"], float(n * (n - 1) @ p_n) / n_mean**2, n_mean
 
 
+class TestOneBuildPerState:
+    # The truncation rule's build is the state: each kind's amplitude recursion
+    # runs once per state, never again in a factory after the rule has run.
+    @pytest.mark.parametrize("spec, form", [
+        ({"kind": "coherent", "alpha": 0.3}, "_coherent_terms"),
+        ({"kind": "phase_modified", "alpha": 0.3, "dim": 12}, "_coherent_terms"),
+        ({"kind": "kerr_coherent", "alpha": 0.3, "chi_t": 0.05}, "_coherent_terms"),
+        ({"kind": "cat", "alpha_sch": 0.3, "parity": -1}, "_coherent_terms"),
+        ({"kind": "squeezed_vacuum", "xi": 0.05}, "_squeezed_terms"),
+        ({"kind": "squeezed_coherent", "alpha": 0.2, "xi": [0.0, 0.1], "dim": 24}, "_squeezed_terms"),
+    ], ids=["coherent", "phase_modified", "kerr_coherent", "cat", "squeezed_vacuum",
+            "squeezed_coherent"])
+    def test_build_state_runs_the_recursion_once(self, monkeypatch, spec, form):
+        calls = []
+        recursion = getattr(states, form)
+        monkeypatch.setattr(states, form, lambda *args: calls.append(args[-1]) or recursion(*args))
+        psi = cli.build_state(spec)
+        assert len(calls) == 1 and calls[0] >= psi.dim
+
+    def test_squeezed_rows_run_the_recursion_once_per_cell(self, monkeypatch):
+        calls = []
+        recursion = states._squeezed_terms
+        monkeypatch.setattr(states, "_squeezed_terms",
+                            lambda *args: calls.append(args[-1]) or recursion(*args))
+        rows = states._squeezed_rows(np.array([0.0, 0.2, 0.1j]), np.array([0.05, 0.1j, 0.05]), 24)
+        assert rows.shape == (3, 24) and calls == [48, 48, 48]
+
+    def test_pair_rebuilds_only_the_arm_whose_dim_was_picked(self, tmp_path, capsys, monkeypatch):
+        built = []
+        build = cli.build_state
+        monkeypatch.setattr(cli, "build_state",
+                            lambda spec, dim=None: built.append((spec["kind"], dim)) or build(spec, dim))
+        cfg = write_config(tmp_path, {
+            "state_a": {"kind": "kerr_coherent", "alpha": 0.3, "chi_t": 0.05},
+            "state_b": {"kind": "coherent", "alpha": 0.3, "dim": 12},
+            "beamsplitter": {"R": 0.3873, "phi": 0.9}})
+        assert cli.main(["g2", "--config", str(cfg)]) == 0
+        # the Kerr arm picks 9 levels; the pair is built on 9 + 12 - 1
+        assert built == [("kerr_coherent", None), ("coherent", None), ("kerr_coherent", 20)]
+        assert len(json.loads(capsys.readouterr().out)["p_n"]) == 20
+
+
 class TestG2PairDistribution:
     """The p_n that antibunch g2 prints for a pair carries its printed g2 and n_mean."""
 
@@ -271,7 +313,7 @@ class TestG2PairCutDistribution:
 
 
     def test_broad_squeeze_against_a_coherent_arm_runs_at_defaults(self, tmp_path):
-        # fock.tail_dim gives the r = 1.2 squeeze 167 levels and the coherent
+        # fock.truncated gives the r = 1.2 squeeze 167 levels and the coherent
         # arm 9, so the pair is built at 175, where p_n carries g2 (the
         # earlier rules refused it at 44 levels, then at 59).  Run in its own
         # process, which takes its 200 MB of sector eigenvectors with it.
@@ -287,7 +329,7 @@ class TestG2PairCutDistribution:
 
 
 class TestTruncationRule:
-    """fock.tail_dim's cases from the truncation baseline: each refused or exact."""
+    """fock.truncated's cases from the truncation baseline: each refused or exact."""
 
     def test_coherent_cut_at_four_levels_is_refused(self, tmp_path, capsys):
         # the old rule |alpha|^2 <= dim/4 let this through as g2 = 0.853
@@ -296,7 +338,7 @@ class TestTruncationRule:
         assert "retry with dim >= 16" in capsys.readouterr().err
 
     def test_alpha_7_runs_at_its_default(self, tmp_path, capsys):
-        # refused at the old default of 512 levels; fock.tail_dim takes 106
+        # refused at the old default of 512 levels; fock.truncated takes 106
         cfg = write_config(tmp_path, {"state": {"kind": "coherent", "alpha": 7}})
         assert cli.main(["g2", "--config", str(cfg)]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -389,7 +431,7 @@ class TestRefusedValues:
         assert err.startswith("config error: truncation of the ") and err.count("\n") == 1
 
     def test_default_truncation_at_limit_runs(self, tmp_path, capsys):
-        # alpha = 10.85 picks fock.tail_dim = 200, the limit itself.
+        # alpha = 10.85 picks 200 levels of fock.truncated, the limit itself.
         cfg = write_config(tmp_path, {"state": {"kind": "coherent", "alpha": 10.85}})
         assert cli.main(["g2", "--config", str(cfg)]) == 0
         assert len(json.loads(capsys.readouterr().out)["p_n"]) == cli.MAX_DIM
@@ -428,7 +470,7 @@ class TestRefusedValues:
 
     @pytest.mark.parametrize("alpha_hi", [10.9, 1e30], ids=["alpha_hi-10.9", "alpha_hi-1e30"])
     def test_fig6_coherent_truncation_above_limit(self, tmp_path, capsys, monkeypatch, alpha_hi):
-        # With dim_b None fig6's coherent arm picks fock.tail_dim per cell (up
+        # With dim_b None fig6's coherent arm picks fock.truncated's dim per cell (up
         # to 202 here, and 4096, the search's depth, where the amplitudes
         # overflow); the largest is bounded before any state is built.
         def unbuilt(*args):
@@ -443,7 +485,7 @@ class TestRefusedValues:
         assert not list(tmp_path.glob("fig6.*"))
 
     def test_fig6_coherent_truncation_at_limit_runs(self, tmp_path):
-        # alpha_hi = 10.85 picks fock.tail_dim = 200, the limit itself.
+        # alpha_hi = 10.85 picks 200 levels of fock.truncated, the limit itself.
         cfg = write_config(tmp_path, {"r_count": 2, "alpha_count": 3, "alpha_hi": 10.85})
         assert cli.main(["figure", "fig6", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "fig6.csv").exists()

@@ -255,7 +255,7 @@ BATCHED_ARMS = {
                    states.vacuum_two_photon),
     "cat": (figures._cat, st.tuples(st.floats(1e-9, 1.5), st.sampled_from([1, -1]), _DIMS),
             lambda alpha_sch, parity, dim: states.cat_state(CatParams(alpha_sch, parity), dim)),
-    # fock.tail_dim asks at most 76 levels of a cell with |alpha| <= 2 and |xi| <= 0.6
+    # fock.truncated asks at most 76 levels of a cell with |alpha| <= 2 and |xi| <= 0.6
     "squeezed": (figures._squeezed, st.tuples(st.complex_numbers(max_magnitude=2.0),
                                               st.complex_numbers(max_magnitude=0.6),
                                               st.sampled_from([96, 112])),
@@ -471,6 +471,8 @@ class TestDelayedCorrelations:
             dims_coupled=(8, 8),
         )
         assert res.columns == ("tau", "g2_single", "g2_coupled")
+        assert res.meta["parameters"] == {"tau_max": 2.0, "n_tau": 21, "U": 0.01, "J": 6.2,
+                                          "dim_single": 8, "dims_coupled": (8, 8)}
         assert len(res.rows) == 21
         assert res.rows[0][0] == 0.0
         assert res.meta["single"]["g2_0"] < 1.0

@@ -139,27 +139,28 @@ class TestGaussianUnitaries:
             states.squeezed_coherent(2.0, 0.5, 8)
 
     @pytest.mark.parametrize("xi", [0.0, 0.05, 0.3j, 0.5 - 0.2j, 1.5])
-    def test_tail_dim_is_the_squeeze_guard(self, xi):
+    def test_truncated_is_the_squeeze_guard(self, xi):
         for alpha in (0.0, 0.5) if xi else (0.5,):  # the vacuum holds no pair to cut
-            dim = fock.tail_dim(states._squeezed_terms, (alpha, xi))
+            dim = fock.truncated(states._squeezed_terms, (alpha, xi)).size
             states.squeezed_coherent(alpha, xi, dim)
             with pytest.raises(TruncationError) as err:
                 states.squeezed_coherent(alpha, xi, dim - 1)
             assert err.value.recommended_dim == dim
 
-    def test_tail_dim(self):
+    def test_truncated(self):
         coherent = states._coherent_terms
-        assert fock.tail_dim(coherent, (0.0,)) == 3  # the two-photon level is kept
-        assert fock.tail_dim(coherent, (0.0,), 2) == 2  # the vacuum holds no pair to cut
-        assert fock.tail_dim(coherent, (1.0,)) == 16
-        assert fock.tail_dim(coherent, (1.0,), 16) == 16
+        assert fock.truncated(coherent, (0.0,)).size == 3  # the two-photon level is kept
+        assert fock.truncated(coherent, (0.0,), 2).size == 2  # the vacuum holds no pair to cut
+        assert fock.truncated(coherent, (1.0,)).size == 16
+        assert fock.truncated(coherent, (1.0,), 16).size == 16
         with pytest.raises(TruncationError) as err:
-            fock.tail_dim(coherent, (1.0,), 15)
+            fock.truncated(coherent, (1.0,), 15)
         assert err.value.recommended_dim == 16
         with pytest.raises(ValueError, match="no finite truncation"):
-            fock.tail_dim(coherent, (1e200,))
+            fock.truncated(coherent, (1e200,))
         # amplitudes that under- or overflow a float get the search's depth
-        assert fock.tail_dim(coherent, (40.0,)) == fock.tail_dim(coherent, (1e30,)) == 4096
+        deepest = [fock.truncated(coherent, (alpha,)).size for alpha in (40.0, 1e30)]
+        assert deepest == [4096, 4096]
 
 
 class TestTensorAndExpectation:

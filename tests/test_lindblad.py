@@ -501,8 +501,9 @@ class TestG2Tau:
             g2_tau(build_single_kerr(0.4, 0.0, 0.1, 8), None, np.linspace(0.0, 1.0, 5))
 
     def test_one_propagation_call_per_curve(self, monkeypatch):
-        # A small ladder's one call builds its step on the identity; a ladder
-        # above the limit takes one interval call over the whole grid.
+        # A small ladder on a fine enough grid (N <= 2 (n - 1)) builds its step
+        # on the identity in its one call; a ladder above the limit, or the
+        # 64-unknown one on 21 points, takes one interval call over the grid.
         calls = []
 
         def counted(A, B, **kwargs):
@@ -510,14 +511,14 @@ class TestG2Tau:
             return expm_multiply(A, B, **kwargs)
 
         monkeypatch.setattr(lindblad, "expm_multiply", counted)
-        for model, formed in ((build_single_kerr(0.5, 0.3, 0.0, 10), True),
-                              (build_single_kerr(0.01, 0.8, 0.02, 24), False)):
+        small, large = build_single_kerr(0.5, 0.3, 0.0, 10), build_single_kerr(0.01, 0.8, 0.02, 24)
+        for model, points, formed in ((small, 21, False), (small, 33, True), (large, 21, False)):
             calls.clear()
-            g2_tau(model, None, np.linspace(0.0, 5.0, 21))
+            g2_tau(model, None, np.linspace(0.0, 5.0, points))
             assert len(calls) == 1
             n, b_shape, num = calls[0]
-            assert (n <= lindblad._FORMED_STEP_LIMIT) == formed
-            assert (b_shape, num) == (((n, n), None) if formed else ((n,), 21))
+            assert (n <= min(lindblad._FORMED_STEP_LIMIT, 2 * (points - 1))) == formed
+            assert (b_shape, num) == (((n, n), None) if formed else ((n,), points))
 
     def test_linear_cavity_curve_is_flat(self):
         model = build_single_kerr(0.0, 0.2, 0.1, 12)
@@ -609,6 +610,29 @@ class TestG2Tau:
             liouvillian(model), y, start=0.0, stop=3.0, num=7, endpoint=True
         )
         curve = g2_tau(model, mix, tau)
+        assert np.max(np.abs(curve.g2_values - (states @ readout).real)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "model, mix, points",
+        [
+            (build_coupled_cavities(U_OPT, 6.2, 0.04, 0.2852, (11, 10)), None, 121),
+            (build_single_kerr(0.01, 0.15, 0.0, 12), {"beta": -0.27}, 61),
+        ],
+        ids=["coupled-blockade", "single-homodyne"],
+    )
+    def test_formed_step_matches_full_space_propagation(self, monkeypatch, model, mix, points):
+        # The 7-point grids above take the interval call; these grids are fine
+        # enough for the formed step on the same ladders (225 and 81 unknowns).
+        tau = np.linspace(0.0, 3.0, points)
+        y, readout = self._seed_and_readout(model, steady_state(model).mat, mix)
+        states = expm_multiply(
+            liouvillian(model), y, start=0.0, stop=3.0, num=points, endpoint=True
+        )
+        seeds = []
+        monkeypatch.setattr(lindblad, "expm_multiply", lambda A, B, **kwargs:
+                            seeds.append(B.shape) or expm_multiply(A, B, **kwargs))
+        curve = g2_tau(model, mix, tau)
+        assert len(seeds) == 1 and len(seeds[0]) == 2  # one step, formed on the identity
         assert np.max(np.abs(curve.g2_values - (states @ readout).real)) < 1e-9
 
 

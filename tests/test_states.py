@@ -168,7 +168,7 @@ class TestSqueezedStates:
         xi = cmath.rect(r, omega)
         reference = expm_reference(alpha, xi)
         tail = np.cumsum(np.abs(reference[::-1]) ** 2)[::-1]
-        floor = fock.tail_dim(states._squeezed_terms, (alpha, xi))
+        floor = fock.truncated(states._squeezed_terms, (alpha, xi)).size
         fits = np.flatnonzero(tail[floor:101] < 1e-14)
         assume(fits.size > 0)
         dim = floor + int(fits[0])
@@ -242,3 +242,18 @@ class TestTailRule:
         pairs = np.arange(p.size) * np.arange(-1, p.size - 1) * p
         assert p[dim:].sum() <= fock._TAIL
         assert pairs[dim:].sum() <= fock._TAIL * pairs.sum()
+
+    @pytest.mark.parametrize("kind", sorted(TAIL_KINDS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_every_accepted_truncation_is_the_factorys_state(self, kind, data):
+        # The rule's amplitudes are the public factory's at the same dim, bit for bit.
+        params, rebuild = TAIL_KINDS[kind]
+        spec = {"kind": kind, **data.draw(params)}
+        try:
+            default = cli.build_state(spec)
+        except ConfigError:  # a default truncation above cli.MAX_DIM
+            assume(False)
+        dim = data.draw(st.integers(default.dim, cli.MAX_DIM))
+        for psi in (default, cli.build_state({**spec, "dim": dim})):
+            assert np.array_equal(psi.amps, rebuild(spec, psi.dim).amps)

@@ -27,10 +27,9 @@ What does not change between cavity solves is built once: each
 truncation's operators (a, a+, n, a+a+aa and their two-mode counterparts,
 shared read-only), and for each sparsity pattern of A and c the triplet
 positions and band scatter of the superoperator.  steady_state keeps the
-states of the last few models it solved, keyed on their exact content and
-the requested method: a model equal to one of them (a tuner's final point,
-then the g2_tau curve drawn at it) is not solved again; any other model,
-even one ulp away, is.
+states of the last few models it solved, keyed on their exact content: a
+model equal to one of them (a tuner's final point, then the g2_tau curve
+drawn at it) is not solved again; any other model, even one ulp away, is.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import zgbsv
-from scipy.sparse.linalg import LinearOperator, expm_multiply, gmres, splu
+from scipy.sparse.linalg import LinearOperator, expm_multiply, gmres
 
 from . import optimize
 from .errors import (
@@ -143,12 +142,11 @@ class _Pattern(NamedTuple):
 
 
 @functools.lru_cache(maxsize=16)
-def _pattern(n: int, drift_nz: bytes, jumps_nz: tuple[bytes, ...], bump: bool) -> _Pattern:
+def _pattern(n: int, drift_nz: bytes, jumps_nz: tuple[bytes, ...]) -> _Pattern:
     # (row, col) of each triplet of A kron 1 + 1 kron conj(A) + sum c kron
-    # conj(c) on row-major vec(rho), plus |e_0><trace| if bump, for the
-    # nonzero masks (bytes of a bool n x n array) of A and of each c.  Each
-    # term's triplets come from its factors' nonzeros, with no kron or add
-    # chain.
+    # conj(c) on row-major vec(rho), for the nonzero masks (bytes of a bool
+    # n x n array) of A and of each c.  Each term's triplets come from its
+    # factors' nonzeros, with no kron or add chain.
     k = np.arange(n)
     i, j = np.nonzero(np.frombuffer(drift_nz, dtype=bool).reshape(n, n))
     # A kron 1 puts A_ij at (i n + k, j n + k); 1 kron conj(A) puts
@@ -162,9 +160,6 @@ def _pattern(n: int, drift_nz: bytes, jumps_nz: tuple[bytes, ...], bump: bool) -
         rows.append((p[:, None] * n + p).ravel())
         cols.append((q[:, None] * n + q).ravel())
         jumps_at.append(p * n + q)
-    if bump:
-        rows.append(np.zeros(n, dtype=k.dtype))
-        cols.append(k * (n + 1))
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     lower, upper = int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0))
     # band[lower + upper + row - col, col] = L[row, col], scattered as (re,
@@ -177,25 +172,19 @@ def _pattern(n: int, drift_nz: bytes, jumps_nz: tuple[bytes, ...], bump: bool) -
     return pattern
 
 
-def _triplets(
-    drift: np.ndarray, collapse_ops: Sequence[np.ndarray], trace_bump: float = 0.0
-) -> tuple[_Pattern, np.ndarray]:
-    # The pattern of A kron 1 + 1 kron conj(A) + sum c kron conj(c), plus
-    # trace_bump * |e_0><trace| if it is nonzero, and the value of each of
-    # its triplets, read from A and c at the pattern's positions.  The
-    # caller's scatter sums duplicates in no fixed order, which is exact
-    # here: in this module's models at most two terms meet at an entry (the
-    # diagonals of the two drift terms, or a jump term and a bump).
+def _triplets(drift: np.ndarray, collapse_ops: Sequence[np.ndarray]) -> tuple[_Pattern, np.ndarray]:
+    # The pattern of A kron 1 + 1 kron conj(A) + sum c kron conj(c) and the
+    # value of each of its triplets, read from A and c at the pattern's
+    # positions.  The caller's scatter sums duplicates in no fixed order,
+    # which is exact here: in this module's models at most two terms meet at
+    # an entry (the diagonals of the two drift terms).
     n = drift.shape[0]
-    pattern = _pattern(n, (drift != 0).tobytes(), tuple((c != 0).tobytes() for c in collapse_ops),
-                       bool(trace_bump))
+    pattern = _pattern(n, (drift != 0).tobytes(), tuple((c != 0).tobytes() for c in collapse_ops))
     a = np.take(drift, pattern.drift_at)
     vals = [np.repeat(a, n), np.tile(a.conj(), n)]
     for c, at in zip(collapse_ops, pattern.jumps_at):
         v = np.take(c, at)
         vals.append((v[:, None] * v.conj()).ravel())
-    if trace_bump:
-        vals.append(np.full(n, trace_bump, dtype=complex))
     return pattern, np.concatenate(vals)
 
 
@@ -214,13 +203,15 @@ def liouvillian(model: CavityModel) -> sp.csc_matrix:
 
 
 # A single-mode model of up to this many unknowns is solved by the banded
-# LU, faster than the operator-form GMRES at weak and strong drive alike: a
-# whole dim-12 solve takes 0.3-0.6 ms by the band, 1.0-1.7 ms by the sparse
-# LU it replaced and 2.4-2.7 ms by GMRES, whose first round stalls short
-# of its tolerance at F = 0.8, dims 18 and 24.  Every other model goes to the
-# operator kernel, which never forms the superoperator and beats the sparse
-# LU's fill-in with two modes (coupled (8, 8): ~14 ms against ~650 ms).
-_FULL_SPACE_LIMIT = 10000
+# LU; above it, and with several modes, the operator kernel is faster.  The
+# limit is the measured crossover (README, "Cavity steady states"): at the
+# four drives timed, the band won at dim 12 (0.3-0.6 ms against 2.4-2.7 ms)
+# and won at some drive at every dim measured up to 76, and lost at every
+# drive at dims 77, 78, 80, 84, 90 and 100 (at dim 100 by 44-68 ms against
+# 18-35 ms).  With two modes the operator kernel never forms the
+# superoperator, whose sparse LU fills in (coupled (8, 8): ~14 ms against
+# ~650 ms).
+_BAND_LIMIT = 76 * 76
 
 
 def _lindblad_map(
@@ -252,23 +243,16 @@ def _bump_weight(model: CavityModel, drift: np.ndarray) -> float:
     return float(np.mean(np.abs(diag)))
 
 
-def _kernel_direct(model: CavityModel, drift: np.ndarray, weight: float) -> np.ndarray:
-    # L + weight * |e_0><trace| is regular, so one sparse LU solve gives the
-    # kernel vector.  A single mode's L is a band, which a trace row would
-    # break, so there the bump is weight * |e_0><e_0| and LAPACK's banded LU
-    # solves it: by Sherman-Morrison the solution is rho_ss / rho_ss[0, 0],
-    # given rho_ss[0, 0] != 0 (true for every driven, damped Kerr cavity).
+def _kernel_band(model: CavityModel, drift: np.ndarray, weight: float) -> np.ndarray:
+    # A single mode's L is a band, which a trace row would break, so the
+    # bump is weight * |e_0><e_0| and LAPACK's banded LU solves
+    # (L + weight |e_0><e_0|) y = weight e_0: by Sherman-Morrison the
+    # solution is rho_ss / rho_ss[0, 0], given rho_ss[0, 0] != 0 (true for
+    # every damped Kerr cavity, driven or not).
     nn = model.hilbert_dim ** 2
     rhs = np.zeros(nn, dtype=complex)
     rhs[0] = weight
-    single = len(model.dims) == 1
-    pattern, vals = _triplets(drift, model.collapse_ops, 0.0 if single else weight)
-    if not single:
-        try:
-            lio = sp.csc_matrix((vals, (pattern.rows, pattern.cols)), shape=(nn, nn))
-            return splu(lio).solve(rhs)
-        except RuntimeError as exc:
-            raise SteadyStateError(f"Liouvillian solve failed: {exc}") from exc
+    pattern, vals = _triplets(drift, model.collapse_ops)
     lower, upper = pattern.lower, pattern.upper
     band = np.bincount(pattern.scatter, vals.view(float),
                        2 * (2 * lower + upper + 1) * nn).view(complex).reshape(nn, -1).T
@@ -282,12 +266,16 @@ def _kernel_direct(model: CavityModel, drift: np.ndarray, weight: float) -> np.n
 
 
 def _kernel_operator(model: CavityModel, drift: np.ndarray, weight: float) -> np.ndarray:
-    # Matrix-free GMRES on L(X) + w Tr(X) E00 = w E00, the direct kernel's
-    # trace bump, in operator form L(X) = A X + X A+ + sum c X c+.  It is
+    # Matrix-free GMRES on L(X) + w Tr(X) E00 = w E00, L with a trace bump,
+    # in operator form L(X) = A X + X A+ + sum c X c+.  It is
     # right-preconditioned by the Sylvester part S(X) = A X + X A+, which A's
     # eigenbasis diagonalizes:
     # S^-1(Y) = V [(V^-1 Y V^-+)_ij / (lam_i + conj(lam_j))] V+.  Every step
     # is a few n x n products; the n^2 x n^2 superoperator is never built.
+    # Without drive the vacuum is an eigenvector of A with eigenvalue 0, so
+    # S is singular there; a denominator that vanishes against w is -w
+    # instead.  A driven model has none: the smallest at coupled (6, 6),
+    # F = 0.04, is 4e-5.
     # One refinement round on the true residual is needed at weak drive,
     # where <a+^2 a^2> ~ 1e-17: the first round alone stops at residual
     # ~2e-12, inside the 1e-10 gate, with g2 2.5 % off on coupled (8, 8) at
@@ -298,6 +286,7 @@ def _kernel_operator(model: CavityModel, drift: np.ndarray, weight: float) -> np
     v_inv = np.linalg.inv(v)
     v_inv_h, v_h = v_inv.conj().T, v.conj().T
     denom = lam[:, None] + lam.conj()[None, :]
+    denom[weight + np.abs(denom) == weight] = -weight
 
     def bumped(x: np.ndarray) -> np.ndarray:
         x = x.reshape(n, n)
@@ -336,33 +325,29 @@ def _residual(model: CavityModel, drift: np.ndarray, rho: np.ndarray) -> float:
     return float(np.max(np.abs(_lindblad_map(drift, model.collapse_ops)(rho))))
 
 
-def steady_state(model: CavityModel, *, method: str = "auto") -> DensityMatrix:
+def steady_state(model: CavityModel) -> DensityMatrix:
     """Kernel of L, trace-normalized.
 
-    method="auto" solves a single-mode model of up to _FULL_SPACE_LIMIT
-    unknowns by the banded LU ("direct") and every other model by the
-    operator-form GMRES ("operator"), which never builds the n^2 x n^2
-    superoperator.  Either method can be forced for cross-checks; "direct"
-    on a large system is the caller's own memory risk.  Every kernel's state
-    must pass the same gate, max |L rho| <= 1e-10.
+    A single-mode model of up to _BAND_LIMIT unknowns is solved by the
+    banded LU, every other model by the operator-form GMRES, which never
+    builds the n^2 x n^2 superoperator.  Either kernel's state must pass the
+    same gate, max |L rho| <= 1e-10.
 
-    The states of the last four models solved are kept, keyed on the
-    requested method, dims and the exact bytes of H and of each collapse
-    operator: a model equal to one of them gets the same DensityMatrix back
-    without a solve.  A failed solve raises and is not kept.
+    The states of the last four models solved are kept, keyed on the dims
+    and the exact bytes of H and of each collapse operator: a model equal to
+    one of them gets the same DensityMatrix back without a solve.  A failed
+    solve raises and is not kept.
     """
-    if method not in ("auto", "direct", "operator"):
-        raise ValueError(f"unknown steady-state method {method!r}")
-    return _solve(_Exact(model, method))
+    return _solve(_Exact(model))
 
 
 class _Exact:
-    """A model and a requested method, equal to another exactly when the
-    method, the dims and the bytes of H and of each collapse operator are."""
+    """A model, equal to another exactly when the dims and the bytes of H
+    and of each collapse operator are."""
 
-    def __init__(self, model: CavityModel, method: str):
-        self.model, self.method = model, method
-        self.key = (method, tuple(model.dims), model.hamiltonian.tobytes(),
+    def __init__(self, model: CavityModel):
+        self.model = model
+        self.key = (tuple(model.dims), model.hamiltonian.tobytes(),
                     *((c.dtype.str, c.shape, c.tobytes()) for c in model.collapse_ops))
 
     def __hash__(self) -> int:
@@ -374,18 +359,15 @@ class _Exact:
 
 @functools.lru_cache(maxsize=4)
 def _solve(exact: _Exact) -> DensityMatrix:
-    model, method = exact.model, exact.method
+    model = exact.model
     exact.model = None  # a kept entry holds the content bytes, not the model
-    n = model.hilbert_dim
-    if method == "auto":
-        small_single = len(model.dims) == 1 and n * n <= _FULL_SPACE_LIMIT
-        method = "direct" if small_single else "operator"
     if not model.collapse_ops:
         raise SteadyStateError("model has no decay channel; steady state not unique")
+    n = model.hilbert_dim
     drift = _drift(model)  # built once, shared by the weight, the kernel and the gate
     weight = _bump_weight(model, drift)
-    kernel = _kernel_direct if method == "direct" else _kernel_operator
-    x = kernel(model, drift, weight)
+    band = len(model.dims) == 1 and n * n <= _BAND_LIMIT
+    x = (_kernel_band if band else _kernel_operator)(model, drift, weight)
     rho = x.reshape(n, n)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real

@@ -35,7 +35,6 @@ from antibunch.lindblad import (
     build_single_kerr,
     g2_tau,
     static_g2,
-    steady_state,
     tune_for_antibunching,
 )
 from antibunch.optimize import Axis, SweepSpec, min_curve, refine_min, sweep
@@ -358,7 +357,7 @@ def test_10_tuners_report_parameters_on_their_search_bound(tuned_single, tuned_c
     assert "F" in tuned_coupled["on_bound"]
 
 
-def test_11_truncation_convergence(tuned_single):
+def test_11_truncation_convergence(tuned_single, trace_row_lu):
     # Headline numbers from the numbered checks above, re-evaluated with
     # every truncation dimension raised by 8 at fixed parameters.  The
     # identity checks (1-3) hold exactly at any dimension and have no
@@ -403,21 +402,14 @@ def test_11_truncation_convergence(tuned_single):
     checks.append(("single-cavity g2(0)", upb(12), upb(20)))
 
     # coupled headline at the dimension-robust operating point, solved by
-    # two different kernels as a cross-check
-    cpl = lambda dims, method: static_g2(
-        build_coupled_cavities(
-            CANONICAL_COUPLED["U"], CANONICAL_COUPLED["J"],
-            CANONICAL_COUPLED["F"], CANONICAL_COUPLED["Delta"], dims,
-        ),
-        rho_ss=steady_state(
-            build_coupled_cavities(
-                CANONICAL_COUPLED["U"], CANONICAL_COUPLED["J"],
-                CANONICAL_COUPLED["F"], CANONICAL_COUPLED["Delta"], dims,
-            ),
-            method=method,
-        ).mat,
+    # two different kernels as a cross-check: the trace-row sparse LU at
+    # (12, 12), steady_state's operator kernel at (20, 20)
+    cpl = lambda dims: build_coupled_cavities(
+        CANONICAL_COUPLED["U"], CANONICAL_COUPLED["J"],
+        CANONICAL_COUPLED["F"], CANONICAL_COUPLED["Delta"], dims,
     )
-    checks.append(("coupled-cavity g2(0)", cpl((12, 12), "direct"), cpl((20, 20), "auto")))
+    lu, operator = cpl((12, 12)), cpl((20, 20))
+    checks.append(("coupled-cavity g2(0)", static_g2(lu, rho_ss=trace_row_lu(lu)), static_g2(operator)))
 
     rels = [(name, abs(up - base) / abs(base)) for name, base, up in checks]
     worst_name, worst = max(rels, key=lambda kv: kv[1])

@@ -1,15 +1,16 @@
 """Driven-dissipative cavity models: steady states, g2(tau), tuning."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
-from scipy.sparse.linalg import expm_multiply, splu
+from scipy.sparse.linalg import expm_multiply
 
 from antibunch import beamsplitter, lindblad
 from antibunch.errors import (
@@ -169,12 +170,11 @@ class TestAssembly:
 
     @pytest.mark.parametrize(
         "model",
-        [build_single_kerr(0.3, 0.6, 0.1, 10), build_coupled_cavities(0.3, 1.0, 0.2, 0.0, (6, 6))],
-        ids=["single", "coupled"],
+        [build_single_kerr(0.3, 0.6, 0.1, 10), build_single_kerr(1.0, 2.0, 1.0, 20)],
+        ids=["single", "strong"],
     )
     def test_direct_kernel_factors_the_bumped_liouvillian(self, model, monkeypatch):
-        # One mode: the band of L + weight * |e_0><e_0| goes to LAPACK's
-        # banded LU.  Several: L + weight * |e_0><trace| goes to SuperLU.
+        # The band of L + weight * |e_0><e_0| goes to LAPACK's banded LU.
         factored = []
 
         def recording_zgbsv(kl, ku, ab, b, **kwargs):
@@ -182,27 +182,17 @@ class TestAssembly:
             factored.append(((kl, ku), ab[kl:].copy()))
             return scipy.linalg.lapack.zgbsv(kl, ku, ab, b, **kwargs)
 
-        def recording_splu(matrix):
-            factored.append(matrix)
-            return splu(matrix)
-
         monkeypatch.setattr(lindblad, "zgbsv", recording_zgbsv)
-        monkeypatch.setattr(lindblad, "splu", recording_splu)
         drift = lindblad._drift(model)
         weight = lindblad._bump_weight(model, drift)
-        lindblad._kernel_direct(model, drift, weight)
+        lindblad._kernel_band(model, drift, weight)
         n = model.hilbert_dim
         expected = dense_superoperator(drift, model.collapse_ops)
+        expected[0, 0] += weight
         assert len(factored) == 1
-        if len(model.dims) == 1:
-            expected[0, 0] += weight
-            (lower, upper), band = factored[0]
-            assert (lower, upper) == (n, n + 1)
-            assert np.array_equal(unpack_band(band, lower, upper), expected)
-        else:
-            expected[0, :: n + 1] += weight
-            assert factored[0].format == "csc"
-            assert np.array_equal(factored[0].toarray(), expected)
+        (lower, upper), band = factored[0]
+        assert (lower, upper) == (n, n + 1)
+        assert np.array_equal(unpack_band(band, lower, upper), expected)
 
 
 class TestLiouvillian:
@@ -235,6 +225,20 @@ class TestLiouvillian:
             assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() > -1e-7
 
 
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    # Names of the kernels run, in order, from an empty memo.
+    runs = []
+    for name in ("_kernel_band", "_kernel_operator"):
+        def counted(*args, _kernel=getattr(lindblad, name), _name=name):
+            runs.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(lindblad, name, counted)
+    lindblad._solve.cache_clear()
+    return runs
+
+
 class TestSteadyState:
     def test_requires_decay_channel(self):
         a = annihilation(8)
@@ -256,48 +260,53 @@ class TestSteadyState:
         assert static_g2(model) == pytest.approx(1.0, abs=1e-8)
 
     def test_undriven_cavity_relaxes_to_vacuum(self):
-        rho = steady_state(build_single_kerr(0.4, 0.0, 0.1, 8)).mat
-        assert rho[0, 0].real == pytest.approx(1.0, abs=1e-12)
+        # Without drive A has the vacuum as an eigenvector of eigenvalue 0,
+        # which the operator kernel's Sylvester preconditioner must survive.
+        for model in (build_single_kerr(0.4, 0.0, 0.1, 8),
+                      build_coupled_cavities(0.01, 6.2, 0.0, 0.3, (6, 6)),
+                      build_single_kerr(0.01, 0.0, 0.3, 101),
+                      build_coupled_cavities(0.3, 1.0, 0.0, 0.0, (8, 8))):
+            rho = steady_state(model).mat
+            vacuum = np.zeros_like(rho)
+            vacuum[0, 0] = 1.0
+            assert np.array_equal(rho, vacuum)
 
-    @pytest.mark.parametrize("method", ["magic", "graded", "march"])
-    def test_unknown_method(self, method):
-        model = build_single_kerr(0.1, 0.1, 0.0, 8)
-        with pytest.raises(ValueError, match="method"):
-            steady_state(model, method=method)
-
-    def test_methods_agree_on_coupled_model(self):
+    def test_methods_agree_on_coupled_model(self, trace_row_lu):
         # weakly excited coupled cavities: the operator kernel must reproduce
-        # the full direct solve up to the direct solve's own double-precision
-        # floor on this observable (n_ss ~ 3.6e-7: rescaling the LU's trace
-        # bump by 0.1-10 moves its g2 by up to 3.6e-7)
+        # the trace-row sparse LU up to the LU's own double-precision floor
+        # on this observable (n_ss ~ 3.6e-7: rescaling the LU's trace bump by
+        # 0.1-10 moves its g2 by up to 3.6e-7)
         model = build_coupled_cavities(
             0.01, 6.2, 0.04, 1.0 / (2.0 * np.sqrt(3.0)), (8, 8)
         )
-        g2_direct = static_g2(model, rho_ss=steady_state(model, method="direct").mat)
-        g2_operator = static_g2(model, rho_ss=steady_state(model, method="operator").mat)
-        assert g2_operator == pytest.approx(g2_direct, rel=1e-6)
+        g2_lu = static_g2(model, rho_ss=trace_row_lu(model))
+        g2_operator = static_g2(model, rho_ss=steady_state(model).mat)
+        assert g2_operator == pytest.approx(g2_lu, rel=1e-6)
 
     @pytest.mark.parametrize("F", [0.04, 0.2, 0.5])
     @pytest.mark.parametrize("U, J", [(U_OPT, 6.2), (0.3, 1.0)], ids=["U_opt-J6.2", "U0.3-J1"])
     @pytest.mark.parametrize("dims", [(6, 6), (8, 8)], ids=["6x6", "8x8"])
-    def test_operator_kernel_matches_direct(self, dims, U, J, F):
+    def test_operator_kernel_matches_direct(self, dims, U, J, F, trace_row_lu):
         # Off the dip bottom: at the tuned point (Delta = 0.2852, g2 ~ 4.5e-6)
-        # the direct LU's own g2 at (8, 8) is 1.5e-5 relative off a
+        # the trace-row LU's own g2 at (8, 8) is 1.5e-5 relative off a
         # long-double refinement of it.
         model = build_coupled_cavities(U, J, F, 1.0 / (2.0 * np.sqrt(3.0)), dims)
-        rho_op = steady_state(model, method="operator").mat
-        rho_direct = steady_state(model, method="direct").mat
+        rho_op = steady_state(model).mat
         assert lindblad._residual(model, lindblad._drift(model), rho_op) <= 1e-10
         assert static_g2(model, rho_ss=rho_op) == pytest.approx(
-            static_g2(model, rho_ss=rho_direct), rel=1e-6
+            static_g2(model, rho_ss=trace_row_lu(model)), rel=1e-6
         )
 
-    def test_auto_picks_lu_for_one_mode_and_operator_for_several(self):
-        single = build_single_kerr(0.3, 0.6, 0.1, 12)
-        coupled = build_coupled_cavities(U_OPT, 6.2, 0.04, 0.2852, (6, 6))
-        for model, forced in ((single, "direct"), (coupled, "operator")):
-            auto = steady_state(model).mat
-            assert np.array_equal(auto, steady_state(model, method=forced).mat)
+    def test_band_up_to_its_limit_and_operator_beyond(self, kernel_runs):
+        # A single mode of n^2 = _BAND_LIMIT unknowns is the band's, one
+        # level more the operator kernel's, and two modes always are.
+        edge = math.isqrt(lindblad._BAND_LIMIT)
+        assert edge * edge == lindblad._BAND_LIMIT
+        for model in (build_single_kerr(0.01, 0.158, 0.05, edge),
+                      build_single_kerr(0.01, 0.158, 0.05, edge + 1),
+                      build_coupled_cavities(U_OPT, 6.2, 0.04, 0.2852, (6, 6))):
+            steady_state(model)
+        assert kernel_runs == ["_kernel_band", "_kernel_operator", "_kernel_operator"]
 
     @pytest.mark.parametrize(
         "dim, U, F, Delta",
@@ -305,23 +314,14 @@ class TestSteadyState:
          (20, 1.0, 2.0, 1.0), (28, 0.01, 0.3, -0.05), (40, 0.3, 0.02, 0.3), (60, 0.0, 0.02, 0.0),
          (60, 1.0, 1.0, -1.0)],
     )
-    def test_banded_kernel_matches_trace_row_lu(self, dim, U, F, Delta):
+    def test_banded_kernel_matches_trace_row_lu(self, dim, U, F, Delta, trace_row_lu):
         # The single-mode band bumps only rho[0, 0]; the trace-row sparse LU
         # is the reference.  Over 576 models on this range they differed by
         # at most 2.7e-14, with band residuals <= 3.3e-15 against the sparse
         # LU's 9.0e-14.
         model = build_single_kerr(U, F, Delta, dim)
-        drift = lindblad._drift(model)
-        weight = lindblad._bump_weight(model, drift)
-        rhs = np.zeros(dim * dim, dtype=complex)
-        rhs[0] = weight
-        pattern, vals = lindblad._triplets(drift, model.collapse_ops, trace_bump=weight)
-        lio = scipy.sparse.csc_matrix((vals, (pattern.rows, pattern.cols)), shape=(dim**2, dim**2))
-        ref = splu(lio).solve(rhs).reshape(dim, dim)
-        ref = 0.5 * (ref + ref.conj().T)
-        ref = ref / np.trace(ref).real
         rho = steady_state(model).mat  # passes the 1e-10 gate or raises
-        assert np.max(np.abs(rho - ref)) <= 1e-13
+        assert np.max(np.abs(rho - trace_row_lu(model))) <= 1e-13
 
     def test_banded_kernel_failure_names_kernel(self, monkeypatch):
         def singular(kl, ku, ab, b, **kwargs):
@@ -349,56 +349,38 @@ class TestSteadyState:
     def test_operator_kernel_refines_past_a_stalled_first_round(self, dim, F):
         # The first GMRES round stops short of 1e-12 here (relative residual
         # 1.9e-12 to 2.4e-10); the refinement round takes its iterate on.
+        # steady_state solves these single modes by the band.
         model = build_single_kerr(0.01, F, 0.02, dim)
-        rho_op = steady_state(model, method="operator").mat
-        rho_direct = steady_state(model, method="direct").mat
-        assert lindblad._residual(model, lindblad._drift(model), rho_op) <= 1e-12
-        assert abs(static_g2(model, rho_ss=rho_op) - static_g2(model, rho_ss=rho_direct)) <= 1e-12
+        drift = lindblad._drift(model)
+        x = lindblad._kernel_operator(model, drift, lindblad._bump_weight(model, drift))
+        rho_op = 0.5 * (x.reshape(dim, dim) + x.reshape(dim, dim).conj().T)
+        rho_op = rho_op / np.trace(rho_op).real
+        assert lindblad._residual(model, drift, rho_op) <= 1e-12
+        band = steady_state(model).mat
+        assert abs(static_g2(model, rho_ss=rho_op) - static_g2(model, rho_ss=band)) <= 1e-12
 
-    def test_auto_solves_strongly_driven_coupled_model_above_full_space_limit(self):
-        # Strong drive above _FULL_SPACE_LIMIT, where a ladder truncated once
-        # its low-order moments converge fails the 1e-10 gate (residual
-        # 5.6e-9): auto must solve the whole space.
+    def test_solves_strongly_driven_coupled_model(self):
+        # Strong drive, where a ladder truncated once its low-order moments
+        # converge fails the 1e-10 gate (residual 5.6e-9): the operator
+        # kernel must solve the whole space.
         model = build_coupled_cavities(0.3, 1.0, 0.2, 0.0, (11, 10))
-        assert model.hilbert_dim**2 > lindblad._FULL_SPACE_LIMIT
-        g2_auto = static_g2(model, rho_ss=steady_state(model).mat)
-        # method="direct" gives 1.18446547895633 here, in 8.5 s
-        assert g2_auto == pytest.approx(1.18446547895633, rel=1e-8)
+        g2 = static_g2(model, rho_ss=steady_state(model).mat)
+        # the trace-row sparse LU gives 1.18446547895633 here, in 8.5 s
+        assert g2 == pytest.approx(1.18446547895633, rel=1e-8)
 
 
 class TestSteadyStateMemo:
-    @pytest.fixture
-    def kernel_runs(self, monkeypatch):
-        # Names of the kernels run, in order, from an empty memo.
-        runs = []
-        for name in ("_kernel_direct", "_kernel_operator"):
-            def counted(*args, _kernel=getattr(lindblad, name), _name=name):
-                runs.append(_name)
-                return _kernel(*args)
-
-            monkeypatch.setattr(lindblad, name, counted)
-        lindblad._solve.cache_clear()
-        return runs
-
     def test_equal_model_is_solved_once(self, kernel_runs):
         first = steady_state(build_single_kerr(0.3, 0.6, 0.1, 10))
         again = steady_state(build_single_kerr(0.3, 0.6, 0.1, 10))  # a new, equal model
         assert again is first
-        assert kernel_runs == ["_kernel_direct"]
+        assert kernel_runs == ["_kernel_band"]
 
     def test_delta_one_ulp_away_is_solved_again(self, kernel_runs):
         first = steady_state(build_single_kerr(0.3, 0.6, 0.1, 10))
         moved = steady_state(build_single_kerr(0.3, 0.6, np.nextafter(0.1, 1.0), 10))
         assert moved is not first
-        assert kernel_runs == ["_kernel_direct"] * 2
-
-    def test_auto_and_a_forced_method_are_separate_entries(self, kernel_runs):
-        model = build_coupled_cavities(U_OPT, 6.2, 0.04, 0.2852, (6, 6))
-        auto = steady_state(model)
-        forced = steady_state(model, method="operator")
-        assert forced is not auto
-        assert steady_state(model) is auto and steady_state(model, method="operator") is forced
-        assert kernel_runs == ["_kernel_operator"] * 2
+        assert kernel_runs == ["_kernel_band"] * 2
 
     def test_failed_solve_is_never_stored(self, kernel_runs):
         model = build_single_kerr(0.1, float("nan"), 0.0, 12)
@@ -406,7 +388,7 @@ class TestSteadyStateMemo:
             with np.errstate(invalid="ignore"):
                 with pytest.raises(SteadyStateError, match="residual nan"):
                     steady_state(model)
-        assert kernel_runs == ["_kernel_direct"] * 2
+        assert kernel_runs == ["_kernel_band"] * 2
         assert lindblad._solve.cache_info().currsize == 0
 
     def test_memo_holds_at_most_its_bound(self, kernel_runs):
@@ -558,10 +540,10 @@ class TestG2Tau:
         seed = seed.reshape(-1) / np.trace(seed).real
         return seed, (d.conj().T @ d).T.reshape(-1) / n_ss
 
-    def test_coupled_curve_matches_dense_exponential_steps(self):
-        model = self._blockade_model((6, 6))  # direct-LU state, dense steps
+    def test_coupled_curve_matches_dense_exponential_steps(self, trace_row_lu):
+        model = self._blockade_model((6, 6))  # trace-row LU state, dense steps
         tau = np.linspace(0.0, 10.0, 51)
-        y, readout = self._seed_and_readout(model, steady_state(model, method="direct").mat)
+        y, readout = self._seed_and_readout(model, trace_row_lu(model))
         step = scipy.linalg.expm(liouvillian(model).toarray() * (tau[1] - tau[0]))
         reference = []
         for _ in tau:
